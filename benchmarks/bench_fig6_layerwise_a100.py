@@ -14,7 +14,7 @@ from repro.perfmodel.tiling import clear_tiling_cache
 def test_fig6_layerwise_a100(once):
     def run():
         clear_tiling_cache()
-        return layerwise.run_rows(A100)
+        return layerwise.measure_rows(A100)
 
     rows = once(run)
     print()

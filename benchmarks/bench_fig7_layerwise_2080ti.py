@@ -9,7 +9,7 @@ from repro.perfmodel.tiling import clear_tiling_cache
 def test_fig7_layerwise_2080ti(once):
     def run():
         clear_tiling_cache()
-        return layerwise.run_rows(RTX2080TI)
+        return layerwise.measure_rows(RTX2080TI)
 
     rows = once(run)
     print()

@@ -14,7 +14,7 @@ def test_oracle_vs_model(once):
     def run():
         clear_tiling_cache()
         return {
-            dev.name: oracle_gap.run_rows(dev) for dev in (A100, RTX2080TI)
+            dev.name: oracle_gap.measure_rows(dev) for dev in (A100, RTX2080TI)
         }
 
     rows_by_device = once(run)

@@ -30,6 +30,7 @@ import time
 
 import numpy as np
 
+from repro.analysis.dynamic import count_allocations
 from repro.backends import backend_names
 from repro.codesign.pipeline import decompose_for_device
 from repro.gpusim.device import get_device
@@ -41,28 +42,6 @@ from repro.serving import InferenceSession
 MODEL = "resnet_tiny"
 IMAGE_HW = (8, 8)
 BATCH_SIZES = (1, 2, 4, 8)
-ALLOC_NAMES = ("zeros", "empty", "pad", "zeros_like", "empty_like", "full")
-
-
-def count_allocations(fn) -> dict:
-    """Run ``fn`` with the named numpy allocators instrumented."""
-    counts = {name: 0 for name in ALLOC_NAMES}
-    originals = {name: getattr(np, name) for name in ALLOC_NAMES}
-
-    def wrap(name):
-        def counted(*args, **kwargs):
-            counts[name] += 1
-            return originals[name](*args, **kwargs)
-        return counted
-
-    for name in ALLOC_NAMES:
-        setattr(np, name, wrap(name))
-    try:
-        fn()
-    finally:
-        for name, orig in originals.items():
-            setattr(np, name, orig)
-    return counts
 
 
 def make_model(device):
@@ -97,9 +76,8 @@ def bench_backend(model, device, backend: str, repeats: int) -> dict:
 
     # Allocation gate on the steady state (arena already warm).
     counts = count_allocations(lambda: exe.run(x))
-    if any(counts.values()):
-        print(f"FAIL: {backend} hot path allocated: "
-              f"{ {k: v for k, v in counts.items() if v} }")
+    if counts:
+        print(f"FAIL: {backend} hot path allocated: {counts}")
         sys.exit(1)
 
     best = min(exe.measure(x, repeats=repeats) for _ in range(2))

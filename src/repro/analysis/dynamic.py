@@ -128,16 +128,6 @@ def hot_path_allocations(
     return count_allocations(lambda: executable.run(x), names)
 
 
-def assert_zero_alloc_hot_path(
-    executable, x: Optional[np.ndarray] = None, warm_runs: int = 1
-) -> None:
-    counts = hot_path_allocations(executable, x, warm_runs)
-    if counts:
-        raise AssertionError(
-            f"steady-state Executable.run allocated: {counts}"
-        )
-
-
 def arena_overlaps(executable) -> List[Tuple[str, str]]:
     """Pairs of distinct arena buffers that share memory.
 
@@ -160,14 +150,6 @@ def arena_overlaps(executable) -> List[Tuple[str, str]]:
             if np.shares_memory(buf_a, buf_b):
                 overlaps.append((name_a, name_b))
     return overlaps
-
-
-def assert_arena_disjoint(executable) -> None:
-    overlaps = arena_overlaps(executable)
-    if overlaps:
-        raise AssertionError(
-            f"arena buffers alias each other: {overlaps}"
-        )
 
 
 def probe_executables(

@@ -2,7 +2,7 @@
 
 The compile/execute split (PR 4) promises zero steady-state allocation:
 ``Executable.run`` and everything it reaches — compiled sites, kernel
-``run_into`` bodies, the fused/parallel row walkers — must write into
+``run_into`` bodies, the fused row-block walker — must write into
 preallocated :class:`BufferArena` buffers only.  The dynamic tracer in
 ``tests`` samples this for a few backends; this rule enforces it
 statically for *every* hot method in the tree.
@@ -11,11 +11,11 @@ Hot classes are matched by naming convention (``Compiled*``,
 ``*Kernel``, ``*Executor``, ``*Runner``, ``Executable``); hot entry
 points differ by kind — a kernel's ``run`` is the *convenience*
 allocating API by design, so only ``run_into`` is hot there, while
-compiled sites/executors are hot through ``run``/``forward``/
-``run_rows``/``stage`` and the ``_forward*``/``_body``/``_epilogue``
-methods their base class dispatches into.  The rule then takes the
-transitive closure of ``self.method()`` calls so helpers reached from
-a hot entry are checked too.
+compiled sites/executors/runners are hot through ``run``/``forward``/
+``run_into`` and the ``_body`` every compiled site computes through
+(its base class's ``forward`` dispatches into it).  The rule then
+takes the transitive closure of ``self.method()`` calls so helpers
+reached from a hot entry are checked too.
 """
 
 from __future__ import annotations
@@ -45,10 +45,7 @@ ALLOC_METHODS = frozenset({"astype", "copy", "flatten", "tolist"})
 KERNEL_ENTRIES = frozenset({"run_into"})
 
 #: Entry methods for compiled sites / executors / runners.
-SITE_ENTRIES = frozenset({
-    "run", "forward", "run_into", "run_rows", "stage", "_body",
-    "_epilogue",
-})
+SITE_ENTRIES = frozenset({"run", "forward", "run_into", "_body"})
 
 
 def _numpy_aliases(tree: ast.Module) -> Set[str]:

@@ -37,9 +37,9 @@ from repro.calibration.model import (
 )
 from repro.backends import DEPTHWISE_BASELINE
 from repro.inference.executable import (
+    CompiledChainConv2d,
     CompiledConv2d,
     CompiledFusedSite,
-    CompiledTuckerConv2d,
     Executable,
 )
 from repro.kernels.base import ConvShape
@@ -144,12 +144,18 @@ def _best_of(fn, warmup: int, repeats: int) -> float:
     return best
 
 
+def _is_tucker_chain(site) -> bool:
+    """A per-stage Tucker site: its dense core is a planned ``core``
+    kernel (CP/TT depthwise middles plan as aux ``dwcore``)."""
+    return isinstance(site, CompiledChainConv2d) and site.format == "tucker"
+
+
 def _site_shape(site) -> Optional[ConvShape]:
     """The plan-time core shape of one compiled site (output extent)."""
     if isinstance(site, CompiledFusedSite):
         return site.core_shape
-    if isinstance(site, CompiledTuckerConv2d):
-        d2, d1, r, s = site.core.shape
+    if _is_tucker_chain(site):
+        d2, d1, r, s = site.mid_weight.shape
         _, _, oh, ow = site.z2.shape
         return ConvShape(c=d1, n=d2, h=oh, w=ow, r=r, s=s)
     if isinstance(site, CompiledConv2d) and site.kernel is not None:
@@ -193,9 +199,9 @@ def _raw_kernel_latency(kernel, shape: Optional[ConvShape], device) -> float:
 def _site_runner(site):
     """A zero-argument closure executing the site's bound kernel once,
     through the same arena buffers the serving hot path uses."""
-    if isinstance(site, CompiledTuckerConv2d):
+    if _is_tucker_chain(site):
         return lambda: site.kernel.run_into(
-            site.z1pad[0], site.core, site.ysame[0], site.scratch
+            site.z1pad[0], site.mid_weight, site.ysame[0], site.scratch
         )
     return lambda: site.kernel.run_into(
         site.xpad[0], site.weight, site.ysame[0], site.scratch
@@ -230,7 +236,7 @@ def run_calibration(
         shape = _site_shape(site)
         if shape is None:
             continue
-        if isinstance(site, (CompiledFusedSite, CompiledTuckerConv2d)):
+        if isinstance(site, CompiledFusedSite) or _is_tucker_chain(site):
             core_shapes[f"{site.site_name}.core"] = shape
         else:
             core_shapes[site.site_name] = shape
@@ -289,7 +295,7 @@ def run_calibration(
                 )
             )
             continue
-        if isinstance(site, CompiledTuckerConv2d):
+        if _is_tucker_chain(site):
             kernel = planned.get(f"{site.site_name}.core")
         else:
             kernel = planned.get(site.site_name)

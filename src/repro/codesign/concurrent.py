@@ -95,15 +95,6 @@ class ConcurrentDecision:
         return 1.0 - self.total_tucker_flops / dense
 
 
-def _branch_entry(branch: LayerShape, d1: int, d2: int, device: DeviceSpec,
-                  rank_step: int, method: str):
-    table = build_performance_table(
-        branch.c, branch.n, branch.h, branch.w, device,
-        r=branch.r, s=branch.s, rank_step=rank_step, method=method,
-    )
-    return table.lookup(d1, d2)
-
-
 def select_ranks_concurrent(
     group: ConcurrentGroup,
     device: DeviceSpec,

@@ -59,7 +59,7 @@ def measure_shape(shape: ConvShape, device: DeviceSpec) -> LayerwiseRow:
     )
 
 
-def run_rows(
+def measure_rows(
     device: DeviceSpec,
     shapes: Sequence[Tuple[int, int, int, int]] = tuple(PAPER_CONV_SHAPES),
 ) -> List[LayerwiseRow]:
@@ -82,7 +82,7 @@ def average_speedups(rows: Sequence[LayerwiseRow]) -> Dict[str, Tuple[float, flo
 
 def run(device: DeviceSpec) -> Table:
     """Regenerate Fig. 6 (A100) / Fig. 7 (2080Ti) as a table."""
-    rows = run_rows(device)
+    rows = measure_rows(device)
     fig = "Figure 6" if device.name == "A100" else "Figure 7"
     table = Table(
         ["shape (C,N,H,W)", "cuDNN-FFT", "cuDNN-WINO", "cuDNN-GEMM",
@@ -100,7 +100,7 @@ def run(device: DeviceSpec) -> Table:
 
 def summary(device: DeviceSpec) -> Table:
     """Average speedups (the figure captions' headline numbers)."""
-    speedups = average_speedups(run_rows(device))
+    speedups = average_speedups(measure_rows(device))
     table = Table(
         ["rival", "TDC-ORACLE speedup", "TDC-MODEL speedup"],
         title=f"Average TDC speedups over rivals ({device.name})",

@@ -37,7 +37,7 @@ class GapRow:
         return self.tvm_latency / self.model_latency
 
 
-def run_rows(
+def measure_rows(
     device: DeviceSpec,
     shapes: Sequence[Tuple[int, int, int, int]] = tuple(PAPER_CONV_SHAPES),
 ) -> List[GapRow]:
@@ -66,7 +66,7 @@ def mean_tvm_advantage(rows: Sequence[GapRow]) -> float:
 
 
 def run(device: DeviceSpec) -> Table:
-    rows = run_rows(device)
+    rows = measure_rows(device)
     table = Table(
         ["shape (C,N,H,W)", "oracle (ms)", "model (ms)", "model/oracle",
          "TVM/model"],

@@ -17,10 +17,9 @@ from repro.inference.engine import (
 )
 from repro.inference.executable import (
     BufferArena,
+    CompiledChainConv2d,
     CompiledConv2d,
-    CompiledCPConv2d,
-    CompiledTTConv2d,
-    CompiledTuckerConv2d,
+    CompiledFusedSite,
     Executable,
     compile_model,
     compile_plan,
@@ -41,10 +40,9 @@ CORE_BACKENDS = PAPER_CORE_BACKENDS
 __all__ = [
     "BufferArena",
     "CORE_BACKENDS",
+    "CompiledChainConv2d",
     "CompiledConv2d",
-    "CompiledCPConv2d",
-    "CompiledTTConv2d",
-    "CompiledTuckerConv2d",
+    "CompiledFusedSite",
     "E2EResult",
     "Executable",
     "ExecutionPlan",

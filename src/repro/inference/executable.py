@@ -18,6 +18,12 @@ inference program after ``nvcc``:
   ``np.zeros``/``np.empty``/``np.pad`` allocation — buffers are reused
   across requests, which the test suite asserts by identity.
 
+Each conv site compiles to one of three classes: :class:`CompiledConv2d`
+(dense), :class:`CompiledChainConv2d` (every factored format, stage by
+stage) or :class:`CompiledFusedSite` (the ``fused`` backend).  Each
+computes through a single ``_body``, which the shared
+``_CompiledSite.forward`` runs serially or once per batch shard.
+
 Strided/padded layers run through their same-convolution kernels by
 executing at the padded input extent and subsampling the output — the
 kernel computes a superset of the needed positions (halo overcompute,
@@ -33,6 +39,7 @@ from __future__ import annotations
 
 import copy
 import time
+from functools import partial
 from dataclasses import replace as dc_replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -43,7 +50,7 @@ from repro.gpusim.device import DeviceSpec
 from repro.inference.plan import ExecutionPlan, PlannedKernel, plan_model
 from repro.kernels.base import ConvKernel, ConvShape, execution_dtype
 from repro.kernels.depthwise import DepthwiseConvKernel
-from repro.kernels.fused import FusedChainExecutor, select_block_rows
+from repro.kernels.fused import FusedChainExecutor
 from repro.models.introspection import (
     LayerSite,
     find_module,
@@ -112,15 +119,6 @@ class BufferArena:
         return sum(b.nbytes for b in self._buffers.values())
 
 
-def _row_task(runner, xpad, out, blocks, scratch):
-    """One lane's row-block task: walk its (cache-capped) blocks
-    sequentially with its own scratch; ``xpad`` is read-only shared."""
-    def task():
-        for lo, hi in blocks:
-            runner.run_rows(xpad, out, lo, hi, scratch)
-    return task
-
-
 def _strided_rows(
     extent: int, kernel: int, stride: int, padding: int
 ) -> Tuple[slice, int]:
@@ -131,25 +129,59 @@ def _strided_rows(
     return slice(start, start + (out - 1) * stride + 1, stride), out
 
 
+def _adopt_scratch(
+    arena: BufferArena, name: str, kernel: ConvKernel, shape: ConvShape
+) -> Dict[str, np.ndarray]:
+    """Allocate ``kernel``'s scratch for ``shape`` into the arena."""
+    scratch = kernel.allocate_scratch(shape, dtype=arena.dtype)
+    for sname, buf in scratch.items():
+        arena.adopt(f"{name}.scratch.{sname}", buf)
+    return scratch
+
+
+def _chain_weights(site: LayerSite, dtype: np.dtype):
+    """One factored site's chain: ``(weights, mid_weight, mid_in,
+    mid_out, collapse_to)``.
+
+    The middle stage is the ``(D2, D1, R, S)`` dense core for Tucker and
+    the ``(M, R, S)`` depthwise filter for CP/TT; TT collapses its
+    ``r1*r2`` middle channels to ``collapse_to = r1`` before pw2.
+    """
+    mod = site.module
+    weights = mod.export_weights(dtype=dtype)
+    if isinstance(mod, TuckerConv2d):
+        return weights, weights["core"], mod.rank_in, mod.rank_out, None
+    if isinstance(mod, CPConv2d):
+        return weights, weights["dw"], mod.rank, mod.rank, None
+    if isinstance(mod, TTConv2d):
+        mid = mod.rank1 * mod.rank2
+        return weights, weights["dw"], mid, mid, mod.rank1
+    raise ValueError(
+        f"site {site.name!r} (format {site.format!r}) is not a factored "
+        f"conv chain"
+    )
+
+
 class _CompiledSite(Module):
     """Base for compiled conv sites: inference-only bound kernels.
 
-    ``forward`` dispatches between the serial body and the worker-pool
-    sharded body: ``_parallel`` is ``None`` unless :func:`compile_plan`
-    decided (via the perf model) that this site shards, in which case
-    it holds the site's :class:`~repro.runtime.SiteParallel` state —
-    lane scratch, shard geometry, the prepared runner.  Sharding axes:
-
-    - batch shards when the request batch supports >= 2 shards of
-      >= 2 samples each (``_forward_shard`` runs the full site body on
-      a contiguous sample range, one lane per shard);
-    - output row blocks at small batch, only on sites whose core
-      exposes a row entry point (``_forward_rows``);
-    - otherwise the exact serial body (``_forward_serial``).
+    Every subclass computes through one method,
+    ``_body(x, lo, hi, scratch, kernel)``: samples ``[lo, hi)`` of
+    ``x`` into ``out[lo:hi]``, with one lane's scratch and the kernel
+    that lane runs.  ``forward`` is the only dispatcher.  ``_parallel``
+    is ``None`` unless :func:`compile_plan` decided (via the perf
+    model) that this site shards; it then holds the site's
+    :class:`~repro.runtime.SiteParallel` state (lane scratch, the
+    prepared runner).  A batch that supports two or more shards
+    (``SiteParallel.batch_shards``) runs one ``_body`` per shard, one
+    lane each; any other batch runs one ``_body`` on lane 0.
     """
 
     #: Set by compile_plan when the perf model picks parallel (else None).
     _parallel = None
+    #: Lane-0 scratch and bound kernel (``None`` where a site has none).
+    scratch: Optional[Dict[str, np.ndarray]] = None
+    kernel: Optional[ConvKernel] = None
 
     def __init__(self, name: str, max_batch: int) -> None:
         super().__init__()
@@ -169,37 +201,24 @@ class _CompiledSite(Module):
     def forward(self, x: np.ndarray) -> np.ndarray:
         b = self._check_batch(x)
         par = self._parallel
-        if par is not None:
-            shards = par.batch_shards(b)
-            if len(shards) > 1:
-                par.run_tasks([
-                    self._shard_task(x, lo, hi, lane)
-                    for lane, (lo, hi) in enumerate(shards)
-                ])
-                return self.out[:b]
-            if len(par.row_lane_groups) > 1:
-                y = self._forward_rows(x, b, par)
-                if y is not None:
-                    return y
-        return self._forward_serial(x, b)
+        if par is None:
+            self._body(x, 0, b, self.scratch, self.kernel)
+            return self.out[:b]
+        # Read per call, not cached at compile: a caller may rebind
+        # either one (e.g. to trace it).
+        kernel = par.runner or self.kernel
+        shards = par.batch_shards(b)
+        if len(shards) > 1:
+            par.run_tasks([
+                partial(self._body, x, lo, hi, par.lane_scratch[lane], kernel)
+                for lane, (lo, hi) in enumerate(shards)
+            ])
+        else:
+            self._body(x, 0, b, par.lane_scratch[0], kernel)
+        return self.out[:b]
 
-    def _shard_task(self, x: np.ndarray, lo: int, hi: int, lane: int):
-        return lambda: self._forward_shard(x, lo, hi, lane)
-
-    def _forward_serial(self, x: np.ndarray, b: int) -> np.ndarray:
+    def _body(self, x, lo, hi, scratch, kernel) -> None:
         raise NotImplementedError
-
-    def _forward_shard(
-        self, x: np.ndarray, lo: int, hi: int, lane: int
-    ) -> None:
-        """Run the full site body on samples ``[lo, hi)`` with lane
-        scratch; only reached when ``_parallel`` is set."""
-        raise NotImplementedError
-
-    def _forward_rows(self, x: np.ndarray, b: int, par):
-        """Row-block fan-out; ``None`` means fall back to serial (only
-        sites with a row-capable prepared runner override this)."""
-        return None
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         raise RuntimeError(
@@ -248,7 +267,6 @@ class CompiledConv2d(_CompiledSite):
                 if p > 0 else None
             )
             self.ysame = None
-            self.scratch = None
         else:
             hp, wp = h + 2 * p, w + 2 * p
             self.xpad = arena.allocate(
@@ -257,27 +275,13 @@ class CompiledConv2d(_CompiledSite):
             self.ysame = arena.allocate(
                 f"{site.name}.ysame", (max_batch, n, hp, wp)
             )
-            exec_shape = ConvShape(
-                c=c, n=n, h=hp, w=wp, r=k, s=k
-            )
             assert kernel is not None
-            scratch = kernel.allocate_scratch(exec_shape, dtype=dtype)
-            for sname, buf in scratch.items():
-                arena.adopt(f"{site.name}.scratch.{sname}", buf)
-            self.scratch = scratch
+            self.scratch = _adopt_scratch(
+                arena, site.name, kernel,
+                ConvShape(c=c, n=n, h=hp, w=wp, r=k, s=k),
+            )
 
-    def _forward_serial(self, x: np.ndarray, b: int) -> np.ndarray:
-        self._body(x, 0, b, 0, self.scratch, self.kernel)
-        return self.out[:b]
-
-    def _forward_shard(
-        self, x: np.ndarray, lo: int, hi: int, lane: int
-    ) -> None:
-        par = self._parallel
-        runner = par.runner or self.kernel
-        self._body(x, lo, hi, lane, par.lane_scratch[lane], runner)
-
-    def _body(self, x, lo, hi, lane, scratch, kernel) -> None:
+    def _body(self, x, lo, hi, scratch, kernel) -> None:
         out = self.out[lo:hi]
         p = self.padding
         if self.kernel_size == 1:
@@ -302,9 +306,16 @@ class CompiledConv2d(_CompiledSite):
             out += self.bias[None, :, None, None]
 
 
-class CompiledTuckerConv2d(_CompiledSite):
-    """A Tucker-format site: 1x1 projection -> dispatched core kernel
-    -> 1x1 projection, all through arena buffers (Eqs. 2-4)."""
+class CompiledChainConv2d(_CompiledSite):
+    """A factored site (Tucker, CP or TT) run stage by stage through
+    arena buffers.
+
+    The stages are the paper's chain (Eqs. 2-4): a 1x1 projection into
+    the padded middle input, the middle kernel at the padded extent
+    (the planned dense core for Tucker, :class:`DepthwiseConvKernel`
+    for CP/TT), the strided subsample, TT's group-sum collapse, then
+    the 1x1 projection plus bias.
+    """
 
     def __init__(
         self,
@@ -316,12 +327,13 @@ class CompiledTuckerConv2d(_CompiledSite):
     ) -> None:
         super().__init__(site.name, max_batch)
         mod = site.module
-        assert isinstance(mod, TuckerConv2d)
-        dtype = arena.dtype
-        weights = mod.export_weights(dtype=dtype)
-        self.w_in = weights["w_in"]        # (D1, C)
-        self.core = weights["core"]        # (D2, D1, R, S)
-        self.w_out = weights["w_out"]      # (N, D2)
+        weights, mid_weight, mid_in, mid_out, collapse_to = _chain_weights(
+            site, arena.dtype
+        )
+        self.format = site.format
+        self.w_in = weights["w_in"]        # (mid_in, C)
+        self.mid_weight = mid_weight       # (D2, D1, R, S) or (M, R, S)
+        self.w_out = weights["w_out"]      # (N, mid_out or collapse_to)
         self.bias = weights["bias"]        # (N,) or None
         self.backend = backend
         self.kernel = kernel
@@ -329,254 +341,59 @@ class CompiledTuckerConv2d(_CompiledSite):
         self.padding = mod.padding
         h, w = site.height, site.width
         k, p = mod.kernel_size, mod.padding
-        d1, d2 = mod.rank_in, mod.rank_out
         self._rows, oh = _strided_rows(h, k, self.stride, p)
         self._cols, ow = _strided_rows(w, k, self.stride, p)
         self._interior = (slice(p, p + h), slice(p, p + w))
         hp, wp = h + 2 * p, w + 2 * p
+        name = site.name
         self.z1pad = arena.allocate(
-            f"{site.name}.z1pad", (max_batch, d1, hp, wp)
+            f"{name}.z1pad", (max_batch, mid_in, hp, wp)
         )
         self.ysame = arena.allocate(
-            f"{site.name}.ysame", (max_batch, d2, hp, wp)
+            f"{name}.ysame", (max_batch, mid_out, hp, wp)
         )
-        self.z2 = arena.allocate(f"{site.name}.z2", (max_batch, d2, oh, ow))
-        self.out = arena.allocate(
-            f"{site.name}.out", (max_batch, mod.out_channels, oh, ow)
-        )
-        exec_shape = ConvShape(c=d1, n=d2, h=hp, w=wp, r=k, s=k)
-        scratch = kernel.allocate_scratch(exec_shape, dtype=dtype)
-        for sname, buf in scratch.items():
-            arena.adopt(f"{site.name}.scratch.{sname}", buf)
-        self.scratch = scratch
-
-    def _forward_serial(self, x: np.ndarray, b: int) -> np.ndarray:
-        ri, ci = self._interior
-        z1 = self.z1pad[:b, :, ri, ci]
-        # Stage 1 (Eq. 2): first-mode projection, written straight into
-        # the padded core input (the border stays zero).
-        np.einsum("dc,bchw->bdhw", self.w_in, x, out=z1, optimize=True)
-        # Stage 2 (Eq. 3): the dispatched core kernel, per sample.
-        ysame = self.ysame[:b]
-        for i in range(b):
-            self.kernel.run_into(
-                self.z1pad[i], self.core, ysame[i], self.scratch
+        self.z2 = arena.allocate(f"{name}.z2", (max_batch, mid_out, oh, ow))
+        self.z3 = None
+        if collapse_to is not None:
+            self._groups = (collapse_to, mid_out // collapse_to)
+            self.z3 = arena.allocate(
+                f"{name}.z3", (max_batch, collapse_to, oh, ow)
             )
-        return self._epilogue(b)
-
-    def _epilogue(self, b: int) -> np.ndarray:
-        z2 = self.z2[:b]
-        z2[...] = self.ysame[:b, :, self._rows, self._cols]
-        # Stage 3 (Eq. 4): last-mode projection plus bias.
-        out = self.out[:b]
-        np.einsum("nd,bdhw->bnhw", self.w_out, z2, out=out, optimize=True)
-        if self.bias is not None:
-            out += self.bias[None, :, None, None]
-        return out
-
-    def _forward_shard(
-        self, x: np.ndarray, lo: int, hi: int, lane: int
-    ) -> None:
-        par = self._parallel
-        scratch = par.lane_scratch[lane]
-        runner = par.runner or self.kernel
-        ri, ci = self._interior
-        z1 = self.z1pad[lo:hi, :, ri, ci]
-        np.einsum(
-            "dc,bchw->bdhw", self.w_in, x[lo:hi], out=z1, optimize=True
-        )
-        for i in range(lo, hi):
-            runner.run_into(self.z1pad[i], self.core, self.ysame[i], scratch)
-        z2 = self.z2[lo:hi]
-        z2[...] = self.ysame[lo:hi, :, self._rows, self._cols]
-        out = self.out[lo:hi]
-        np.einsum("nd,bdhw->bnhw", self.w_out, z2, out=out, optimize=True)
-        if self.bias is not None:
-            out += self.bias[None, :, None, None]
-
-    def _forward_rows(self, x: np.ndarray, b: int, par) -> np.ndarray:
-        """Small-batch axis: stage each sample's padded core input once,
-        then fan the core's output rows across lanes (bit-identical by
-        construction — lanes own disjoint rows and keep the serial
-        c-tile accumulation order)."""
-        runner = par.runner
-        ri, ci = self._interior
-        z1 = self.z1pad[:b, :, ri, ci]
-        np.einsum("dc,bchw->bdhw", self.w_in, x, out=z1, optimize=True)
-        scratch0 = par.lane_scratch[0]
-        xpad = scratch0["xpad"]
-        for i in range(b):
-            runner.stage(self.z1pad[i], scratch0)
-            yi = self.ysame[i]
-            yi.fill(0.0)
-            par.run_tasks([
-                _row_task(runner, xpad, yi, blocks, par.lane_scratch[lane])
-                for lane, blocks in enumerate(par.row_lane_groups)
-            ])
-        return self._epilogue(b)
-
-
-class CompiledCPConv2d(_CompiledSite):
-    """A CP-format site: 1x1 projection -> depthwise RxS conv -> 1x1
-    projection, all through arena buffers."""
-
-    def __init__(
-        self,
-        site: LayerSite,
-        kernel: ConvKernel,
-        arena: BufferArena,
-        max_batch: int,
-    ) -> None:
-        super().__init__(site.name, max_batch)
-        mod = site.module
-        assert isinstance(mod, CPConv2d)
-        dtype = arena.dtype
-        weights = mod.export_weights(dtype=dtype)
-        self.w_in = weights["w_in"]        # (Q, C)
-        self.dw = weights["dw"]            # (Q, R, S)
-        self.w_out = weights["w_out"]      # (N, Q)
-        self.bias = weights["bias"]        # (N,) or None
-        self.backend = "depthwise"
-        self.kernel = kernel
-        self.stride = mod.stride
-        self.padding = mod.padding
-        h, w = site.height, site.width
-        k, p = mod.kernel_size, mod.padding
-        q = mod.rank
-        self._rows, oh = _strided_rows(h, k, self.stride, p)
-        self._cols, ow = _strided_rows(w, k, self.stride, p)
-        self._interior = (slice(p, p + h), slice(p, p + w))
-        hp, wp = h + 2 * p, w + 2 * p
-        self.z1pad = arena.allocate(
-            f"{site.name}.z1pad", (max_batch, q, hp, wp)
-        )
-        self.ysame = arena.allocate(
-            f"{site.name}.ysame", (max_batch, q, hp, wp)
-        )
-        self.z2 = arena.allocate(f"{site.name}.z2", (max_batch, q, oh, ow))
         self.out = arena.allocate(
-            f"{site.name}.out", (max_batch, mod.out_channels, oh, ow)
+            f"{name}.out", (max_batch, mod.out_channels, oh, ow)
         )
-        exec_shape = ConvShape(c=q, n=q, h=hp, w=wp, r=k, s=k)
-        scratch = kernel.allocate_scratch(exec_shape, dtype=dtype)
-        for sname, buf in scratch.items():
-            arena.adopt(f"{site.name}.scratch.{sname}", buf)
-        self.scratch = scratch
+        self.scratch = _adopt_scratch(
+            arena, name, kernel,
+            ConvShape(c=mid_in, n=mid_out, h=hp, w=wp, r=k, s=k),
+        )
 
-    def _forward_serial(self, x: np.ndarray, b: int) -> np.ndarray:
-        self._body(x, 0, b, self.scratch)
-        return self.out[:b]
-
-    def _forward_shard(
-        self, x: np.ndarray, lo: int, hi: int, lane: int
-    ) -> None:
-        self._body(x, lo, hi, self._parallel.lane_scratch[lane])
-
-    def _body(self, x, lo, hi, scratch) -> None:
+    def _body(self, x, lo, hi, scratch, kernel) -> None:
         ri, ci = self._interior
-        z1 = self.z1pad[lo:hi, :, ri, ci]
-        # Stage 1: input projection, written straight into the padded
-        # depthwise input (the border stays zero).
+        # Stage 1 (Eq. 2): input projection, written straight into the
+        # padded middle input (the border stays zero).
         np.einsum(
-            "qc,bchw->bqhw", self.w_in, x[lo:hi], out=z1, optimize=True
+            "dc,bchw->bdhw", self.w_in, x[lo:hi],
+            out=self.z1pad[lo:hi, :, ri, ci], optimize=True,
         )
-        # Stage 2: per-channel RxS conv at the padded extent, per sample.
+        # Stage 2 (Eq. 3): the middle kernel at the padded extent.
         for i in range(lo, hi):
-            self.kernel.run_into(
-                self.z1pad[i], self.dw, self.ysame[i], scratch
+            kernel.run_into(
+                self.z1pad[i], self.mid_weight, self.ysame[i], scratch
             )
-        z2 = self.z2[lo:hi]
-        z2[...] = self.ysame[lo:hi, :, self._rows, self._cols]
-        # Stage 3: output projection plus bias.
-        out = self.out[lo:hi]
-        np.einsum("nq,bqhw->bnhw", self.w_out, z2, out=out, optimize=True)
-        if self.bias is not None:
-            out += self.bias[None, :, None, None]
-
-
-class CompiledTTConv2d(_CompiledSite):
-    """A TT-format site: 1x1 projection to r1*r2 channels -> depthwise
-    RxS conv -> group-sum collapse to r1 -> 1x1 projection."""
-
-    def __init__(
-        self,
-        site: LayerSite,
-        kernel: ConvKernel,
-        arena: BufferArena,
-        max_batch: int,
-    ) -> None:
-        super().__init__(site.name, max_batch)
-        mod = site.module
-        assert isinstance(mod, TTConv2d)
-        dtype = arena.dtype
-        weights = mod.export_weights(dtype=dtype)
-        self.w_in = weights["w_in"]        # (r1*r2, C)
-        self.dw = weights["dw"]            # (r1*r2, R, S)
-        self.w_out = weights["w_out"]      # (N, r1)
-        self.bias = weights["bias"]        # (N,) or None
-        self.backend = "depthwise"
-        self.kernel = kernel
-        self.stride = mod.stride
-        self.padding = mod.padding
-        self.rank1 = mod.rank1
-        self.rank2 = mod.rank2
-        h, w = site.height, site.width
-        k, p = mod.kernel_size, mod.padding
-        mid = mod.rank1 * mod.rank2
-        self._rows, oh = _strided_rows(h, k, self.stride, p)
-        self._cols, ow = _strided_rows(w, k, self.stride, p)
-        self._interior = (slice(p, p + h), slice(p, p + w))
-        hp, wp = h + 2 * p, w + 2 * p
-        self.z1pad = arena.allocate(
-            f"{site.name}.z1pad", (max_batch, mid, hp, wp)
-        )
-        self.ysame = arena.allocate(
-            f"{site.name}.ysame", (max_batch, mid, hp, wp)
-        )
-        self.z2 = arena.allocate(f"{site.name}.z2", (max_batch, mid, oh, ow))
-        self.z3 = arena.allocate(
-            f"{site.name}.z3", (max_batch, mod.rank1, oh, ow)
-        )
-        self.out = arena.allocate(
-            f"{site.name}.out", (max_batch, mod.out_channels, oh, ow)
-        )
-        exec_shape = ConvShape(c=mid, n=mid, h=hp, w=wp, r=k, s=k)
-        scratch = kernel.allocate_scratch(exec_shape, dtype=dtype)
-        for sname, buf in scratch.items():
-            arena.adopt(f"{site.name}.scratch.{sname}", buf)
-        self.scratch = scratch
-
-    def _forward_serial(self, x: np.ndarray, b: int) -> np.ndarray:
-        self._body(x, 0, b, self.scratch)
-        return self.out[:b]
-
-    def _forward_shard(
-        self, x: np.ndarray, lo: int, hi: int, lane: int
-    ) -> None:
-        self._body(x, lo, hi, self._parallel.lane_scratch[lane])
-
-    def _body(self, x, lo, hi, scratch) -> None:
-        ri, ci = self._interior
-        z1 = self.z1pad[lo:hi, :, ri, ci]
-        np.einsum(
-            "qc,bchw->bqhw", self.w_in, x[lo:hi], out=z1, optimize=True
-        )
-        for i in range(lo, hi):
-            self.kernel.run_into(
-                self.z1pad[i], self.dw, self.ysame[i], scratch
+        z = self.z2[lo:hi]
+        z[...] = self.ysame[lo:hi, :, self._rows, self._cols]
+        if self.z3 is not None:
+            # TT group-sum: collapse r1*r2 -> r1 (the memory-bound
+            # kernel the plan folds into the dwcore latency).
+            z3 = self.z3[lo:hi]
+            np.sum(
+                z.reshape((hi - lo,) + self._groups + z.shape[2:]),
+                axis=2, out=z3,
             )
-        z2 = self.z2[lo:hi]
-        z2[...] = self.ysame[lo:hi, :, self._rows, self._cols]
-        # Group-sum: collapse the r2 dimension (the memory-bound kernel
-        # the plan folds into the dwcore latency).
-        z3 = self.z3[lo:hi]
-        oh, ow = z3.shape[2], z3.shape[3]
-        np.sum(
-            z2.reshape(hi - lo, self.rank1, self.rank2, oh, ow),
-            axis=2, out=z3,
-        )
+            z = z3
+        # Stage 3 (Eq. 4): output projection plus bias.
         out = self.out[lo:hi]
-        np.einsum("nq,bqhw->bnhw", self.w_out, z3, out=out, optimize=True)
+        np.einsum("nd,bdhw->bnhw", self.w_out, z, out=out, optimize=True)
         if self.bias is not None:
             out += self.bias[None, :, None, None]
 
@@ -584,11 +401,11 @@ class CompiledTTConv2d(_CompiledSite):
 class CompiledFusedSite(_CompiledSite):
     """A factored site bound to the fused whole-chain executor.
 
-    Replaces the per-stage compiled forms when the planner selects the
+    Replaces :class:`CompiledChainConv2d` when the planner selects the
     ``fused`` backend: the pw1 / core / pw2 stages (and TT's
     group-sum) run in cache-resident row blocks
     (:class:`~repro.kernels.fused.FusedChainExecutor`), so the full
-    ``(C', H, W)`` intermediate buffers the per-stage sites allocate
+    ``(C', H, W)`` intermediate buffers the chain site allocates
     (``z1pad`` / ``ysame`` / ``z2`` / ``z3``) never enter the arena —
     only the layer output and the small block scratch do.
     """
@@ -601,35 +418,15 @@ class CompiledFusedSite(_CompiledSite):
     ) -> None:
         super().__init__(site.name, max_batch)
         mod = site.module
-        fmt = site.format
         dtype = arena.dtype
-        weights = mod.export_weights(dtype=dtype)
-        if fmt == "tucker":
-            assert isinstance(mod, TuckerConv2d)
-            mid_weight = weights["core"]       # (D2, D1, R, S)
-            mid_in, mid_out = mod.rank_in, mod.rank_out
-            collapse = None
-        elif fmt == "cp":
-            assert isinstance(mod, CPConv2d)
-            mid_weight = weights["dw"]         # (Q, R, S)
-            mid_in = mid_out = mod.rank
-            collapse = None
-        elif fmt == "tt":
-            assert isinstance(mod, TTConv2d)
-            mid_weight = weights["dw"]         # (r1*r2, R, S)
-            mid_in = mid_out = mod.rank1 * mod.rank2
-            collapse = mod.rank1
-        else:
-            raise ValueError(
-                f"site {site.name!r} (format {fmt!r}) has no fused "
-                f"execution path"
-            )
+        weights, mid_weight, mid_in, mid_out, collapse = _chain_weights(
+            site, dtype
+        )
         self.backend = "fused"
-        self.format = fmt
-        self.kernel = None   # no per-stage core kernel: the chain is one
+        self.format = site.format
         k, p = mod.kernel_size, mod.padding
         self.executor = FusedChainExecutor(
-            fmt,
+            site.format,
             weights["w_in"],
             mid_weight,
             weights["w_out"],
@@ -657,9 +454,9 @@ class CompiledFusedSite(_CompiledSite):
             sname: arena.get(f"{site.name}.fused.{sname}")
             for sname in self.executor.scratch_shapes()
         })
-        # Arena accounting: what the per-stage compiled form would have
-        # allocated for this site's intermediates (activation buffers;
-        # per-stage kernel scratch would only widen the gap).
+        # Arena accounting: what the chain site would have allocated
+        # for this site's intermediates (activation buffers; per-stage
+        # kernel scratch would only widen the gap).
         hp, wp = site.height + 2 * p, site.width + 2 * p
         per_stage = mid_in * hp * wp + mid_out * hp * wp \
             + mid_out * oh * ow
@@ -669,15 +466,10 @@ class CompiledFusedSite(_CompiledSite):
         self.per_stage_intermediate_bytes = max_batch * per_stage * itemsize
         self.fused_scratch_bytes = self.executor.scratch_nbytes
 
-    def _forward_serial(self, x: np.ndarray, b: int) -> np.ndarray:
-        return self.executor.run(x, self.out)
-
-    def _forward_shard(
-        self, x: np.ndarray, lo: int, hi: int, lane: int
-    ) -> None:
-        # Lane scratch: disjoint batch-sliced views of the bound
-        # buffers (all fused block scratch is per-sample along the
-        # leading axis), so batch shards add zero arena bytes.
+    def _body(self, x, lo, hi, scratch, kernel) -> None:
+        # All fused block scratch is per-sample along the leading axis,
+        # so a sample range owns disjoint views of the bound buffers:
+        # batch shards need no lane scratch and add zero arena bytes.
         bound = self.executor.bound_scratch
         self.executor.run(
             x[lo:hi], self.out[lo:hi],
@@ -780,8 +572,8 @@ class Executable:
         """Compile-time parallel decisions, per site.
 
         ``sites`` maps site name -> the perf model's verdict: estimated
-        speedup, the sharding axes available, and the lane scratch the
-        site added to the arena.  Serial sites (or a ``threads=1``
+        speedup, the planned site latency it was based on, and the lane
+        scratch the site added to the arena.  Serial sites (or a ``threads=1``
         compile) simply do not appear.
         """
         sites: Dict[str, Dict[str, object]] = {}
@@ -792,7 +584,6 @@ class Executable:
             sites[s.site_name] = {
                 "est_speedup": par.est_speedup,
                 "site_latency_s": par.site_latency_s,
-                "row_tasks": len(par.row_shards),
                 "per_worker_scratch_bytes": par.per_worker_scratch_bytes,
             }
         return {
@@ -925,17 +716,16 @@ def _parallel_lane_state(
     dtype: np.dtype,
 ):
     """Carve per-lane scratch for one parallel site and specialize its
-    runner: ``(lane_scratch, runner, rows_cap)``.
+    runner: ``(lane_scratch, runner)``.
 
     Lane 0 reuses the site's own (serial) scratch; lanes ``1..T-1``
     are fresh arena buffers named ``<site>.scratch.w<lane>.<name>`` so
     ``arena.nbytes`` (and thus ``arena_report``) stays truthful.
-    Fused sites need no extra lanes at all — their block scratch is
-    per-sample along the leading axis, so batch shards slice the bound
-    buffers disjointly.
+    Sites without kernel scratch (fused chains, 1x1 dense convs) need
+    no extra lanes at all.
     """
-    if isinstance(compiled, CompiledFusedSite) or compiled.scratch is None:
-        return [None] * threads, None, None
+    if compiled.scratch is None:
+        return [None] * threads, None
     lanes: List[Optional[Dict[str, np.ndarray]]] = [compiled.scratch]
     for lane in range(1, threads):
         lanes.append({
@@ -944,30 +734,18 @@ def _parallel_lane_state(
             )
             for name, buf in compiled.scratch.items()
         })
-    runner = None
-    rows_cap = None
-    if isinstance(compiled, (CompiledTuckerConv2d, CompiledConv2d)):
-        weight = (
-            compiled.core if isinstance(compiled, CompiledTuckerConv2d)
-            else compiled.weight
-        )
-        hp, wp = compiled.xpad.shape[2:] if isinstance(
-            compiled, CompiledConv2d
-        ) else compiled.z1pad.shape[2:]
-        shape = ConvShape(
-            c=weight.shape[1], n=weight.shape[0],
-            h=int(hp), w=int(wp), r=weight.shape[2], s=weight.shape[3],
-        )
-        runner = prepare_tdc_runner(compiled.kernel, weight, shape, dtype)
-        if runner is not None:
-            # Row-block budget from the fused path's cache model: the
-            # same L2-resident sizing, at the core's padded extent.
-            rows_cap = select_block_rows(
-                shape.c, shape.n, shape.h, shape.w,
-                shape.w + shape.s - 1, shape.r, 1,
-                np.dtype(dtype).itemsize,
-            )
-    return lanes, runner, rows_cap
+    if isinstance(compiled, CompiledConv2d):
+        weight, staged = compiled.weight, compiled.xpad
+    elif compiled.format == "tucker":
+        weight, staged = compiled.mid_weight, compiled.z1pad
+    else:
+        return lanes, None
+    hp, wp = staged.shape[2:]
+    shape = ConvShape(
+        c=weight.shape[1], n=weight.shape[0],
+        h=int(hp), w=int(wp), r=weight.shape[2], s=weight.shape[3],
+    )
+    return lanes, prepare_tdc_runner(compiled.kernel, weight, shape, dtype)
 
 
 def model_dtype(model: Module) -> np.dtype:
@@ -1071,7 +849,7 @@ def compile_plan(
         mod = copied.module
         k, p = mod.kernel_size, mod.padding
         hp, wp = site.height + 2 * p, site.width + 2 * p
-        if site.format in ("tucker", "cp", "tt"):
+        if site.is_factored:
             planned = cores[site.name]
             if planned.backend == "fused":
                 # Whole-chain executor: the per-stage intermediate
@@ -1080,26 +858,22 @@ def compile_plan(
                     copied, arena, max_batch
                 )
             elif site.format == "tucker":
-                backend = get_backend(planned.backend)
                 exec_shape = ConvShape(
                     c=mod.rank_in, n=mod.rank_out, h=hp, w=wp, r=k, s=k
                 )
-                kernel = backend.kernel(
+                kernel = get_backend(planned.backend).kernel(
                     exec_shape, device, tiling=planned.tiling
                 )
-                compiled = CompiledTuckerConv2d(
+                compiled = CompiledChainConv2d(
                     copied, kernel, planned.backend, arena, max_batch
                 )
-            elif site.format == "cp":
-                # CP/TT per-stage middles bypass the dense-core
-                # registry: their 3-D depthwise weight only the
-                # depthwise kernel understands.
-                compiled = CompiledCPConv2d(
-                    copied, DepthwiseConvKernel(), arena, max_batch
-                )
             else:
-                compiled = CompiledTTConv2d(
-                    copied, DepthwiseConvKernel(), arena, max_batch
+                # CP/TT middles bypass the dense-core registry: their
+                # 3-D depthwise weight only the depthwise kernel
+                # understands.
+                compiled = CompiledChainConv2d(
+                    copied, DepthwiseConvKernel(), "depthwise", arena,
+                    max_batch,
                 )
         else:
             planned = dense[site.name]
@@ -1129,7 +903,7 @@ def compile_plan(
             if pool is None:
                 # threads lanes = the caller + (threads - 1) workers.
                 pool = get_pool(threads - 1)
-            lane_scratch, runner, rows_cap = _parallel_lane_state(
+            lane_scratch, runner = _parallel_lane_state(
                 compiled, arena, threads, dtype
             )
             compiled._parallel = SiteParallel(
@@ -1139,7 +913,6 @@ def compile_plan(
                 runner=runner,
                 site_latency_s=site_lat[site.name],
                 est_speedup=est,
-                rows_cap=rows_cap,
             )
             parallel_names.add(site.name)
         if parallel_names:

@@ -10,8 +10,11 @@ A :class:`ConvKernel` provides two views of one scheme:
 
 - ``launches(shape, device)``: the kernel-launch description(s) fed to
   the GPU simulator (the "measured" latency path), and
-- ``run(x, weight)``: a functional NumPy execution of the same
-  algorithm, validated against the reference convolution in tests.
+- ``run_into(x, weight, out, scratch)``: a functional NumPy execution
+  of the same algorithm into preallocated buffers (the compiled hot
+  path), validated against the reference convolution in tests.
+  ``run(x, weight)`` wraps it with fresh buffers, once, in the base
+  class.
 """
 
 from __future__ import annotations
@@ -136,8 +139,16 @@ class ConvKernel:
         return total
 
     def run(self, x: np.ndarray, weight: np.ndarray) -> np.ndarray:
-        """Functional execution: ``(C,H,W) x (N,C,R,S) -> (N,H,W)``."""
-        raise NotImplementedError
+        """Functional execution: ``(C,H,W) x (N,C,R,S) -> (N,H,W)``.
+
+        The convenience API: validates the operands, allocates a fresh
+        scratch set and a zeroed output, then runs :meth:`run_into` —
+        the one copy of each kernel's loop.
+        """
+        x, weight, shape = self._check_run_args(x, weight)
+        out = np.zeros((shape.n, shape.h, shape.w), dtype=x.dtype)
+        scratch = self.allocate_scratch(shape, dtype=x.dtype)
+        return self.run_into(x, weight, out, scratch)
 
     # -- preallocated execution (the compiled hot path) -----------------
     def scratch_shapes(self, shape: ConvShape) -> Dict[str, Tuple[int, ...]]:
@@ -172,15 +183,12 @@ class ConvKernel:
     ) -> np.ndarray:
         """Execute into a preallocated ``(N,H,W)`` output buffer.
 
-        Same numerics as :meth:`run`; ``x``/``weight``/``out`` must
-        already be in the execution dtype and ``scratch`` must come
-        from :meth:`allocate_scratch` for this problem shape.  The base
-        implementation falls back to :meth:`run` (which allocates);
-        kernels on the serving hot path override it to touch no
-        ``np.zeros``/``np.empty``/``np.pad`` per call.
+        ``x``/``weight``/``out`` must already be in the execution dtype
+        and ``scratch`` must come from :meth:`allocate_scratch` for this
+        problem shape.  Every kernel implements this; on the serving hot
+        path it touches no ``np.zeros``/``np.empty``/``np.pad`` per call.
         """
-        out[...] = self.run(x, weight)
-        return out
+        raise NotImplementedError
 
     def _check_run_args(
         self, x: np.ndarray, weight: np.ndarray

@@ -29,7 +29,7 @@ import numpy as np
 
 from repro.gpusim.device import DeviceSpec
 from repro.gpusim.engine import KernelLaunch
-from repro.kernels.base import FLOAT_BYTES, ConvKernel, ConvShape, pad_input
+from repro.kernels.base import FLOAT_BYTES, ConvKernel, ConvShape
 
 COMPLEX_BYTES = 8  # float32 complex
 
@@ -133,22 +133,6 @@ class CuDNNGemmKernel(ConvKernel):
         ]
         return launches
 
-    def run(self, x: np.ndarray, weight: np.ndarray) -> np.ndarray:
-        """im2col + GEMM, the algorithm IMPLICIT_GEMM fuses on chip."""
-        x, weight, shape = self._check_run_args(x, weight)
-        xp = pad_input(x, shape)
-        # Build the (K, M) im2col matrix explicitly.
-        cols = np.empty((shape.c * shape.r * shape.s, shape.h * shape.w),
-                        dtype=x.dtype)
-        idx = 0
-        for c in range(shape.c):
-            for r in range(shape.r):
-                for s in range(shape.s):
-                    cols[idx] = xp[c, r : r + shape.h, s : s + shape.w].ravel()
-                    idx += 1
-        w_mat = weight.reshape(shape.n, -1)
-        return (w_mat @ cols).reshape(shape.n, shape.h, shape.w)
-
     def scratch_shapes(self, shape: ConvShape) -> Dict[str, Tuple[int, ...]]:
         return {
             "xpad": (shape.c, shape.padded_h, shape.padded_w),
@@ -156,8 +140,9 @@ class CuDNNGemmKernel(ConvKernel):
         }
 
     def run_into(self, x, weight, out, scratch):
-        """Allocation-free :meth:`run`: im2col into a preallocated
-        column matrix, then a GEMM straight into ``out``."""
+        """im2col + GEMM, the algorithm IMPLICIT_GEMM fuses on chip:
+        im2col into a preallocated column matrix, then a GEMM straight
+        into ``out``."""
         x, weight, shape = self._check_run_args(x, weight)
         xpad, cols = scratch["xpad"], scratch["cols"]
         ph, pw = shape.pad
@@ -318,44 +303,6 @@ class CuDNNWinogradKernel(ConvKernel):
         )
         return launches
 
-    def run(self, x: np.ndarray, weight: np.ndarray) -> np.ndarray:
-        """Actual F(2x2,3x3) Winograd convolution in NumPy."""
-        x, weight, shape = self._check_run_args(x, weight)
-        self._check_supported(shape)
-        th = ceil(shape.h / 2)
-        tw = ceil(shape.w / 2)
-        # Transform matrices in the execution dtype (their entries are
-        # exactly representable in float32, so no accuracy is lost).
-        bt, g, at = wino_transforms(x.dtype)
-        # Pad so tiles cover the output: need (2*th + 2, 2*tw + 2).
-        xp = np.zeros((shape.c, 2 * th + 2, 2 * tw + 2), dtype=x.dtype)
-        base = pad_input(x, shape)  # (C, H+2, W+2)
-        xp[:, : base.shape[1], : base.shape[2]] = base
-
-        # Filter transform U = G g G^T: (N, C, 4, 4) -> (4, 4, N, C)
-        u = np.einsum("ij,ncjk,lk->ncil", g, weight, g, optimize=True)
-        u = u.transpose(2, 3, 0, 1)
-
-        # Input transform V = B^T d B per tile: (4, 4, C, P)
-        d = np.empty((shape.c, th, tw, 4, 4), dtype=x.dtype)
-        for i in range(th):
-            for j in range(tw):
-                d[:, i, j] = xp[:, 2 * i : 2 * i + 4, 2 * j : 2 * j + 4]
-        v = np.einsum("ij,cpqjk,lk->cpqil", bt, d, bt, optimize=True)
-        v = v.transpose(3, 4, 0, 1, 2).reshape(4, 4, shape.c, th * tw)
-
-        # Batched GEMMs: M[k1,k2] = U[k1,k2] @ V[k1,k2]
-        m = np.einsum("ijnc,ijcp->ijnp", u, v, optimize=True)
-
-        # Output transform: Y = A^T M A per tile -> (2, 2, N, P)
-        yt = np.einsum("ki,ijnp,lj->klnp", at, m, at, optimize=True)
-        y = np.zeros((shape.n, 2 * th, 2 * tw), dtype=x.dtype)
-        yt = yt.reshape(2, 2, shape.n, th, tw)
-        for a in range(2):
-            for b in range(2):
-                y[:, a::2, b::2] = yt[a, b]
-        return y[:, : shape.h, : shape.w]
-
     def scratch_shapes(self, shape: ConvShape) -> Dict[str, Tuple[int, ...]]:
         self._check_supported(shape)
         th = ceil(shape.h / 2)
@@ -367,7 +314,7 @@ class CuDNNWinogradKernel(ConvKernel):
         }
 
     def run_into(self, x, weight, out, scratch):
-        """:meth:`run` without the named allocations: the padded input,
+        """F(2x2,3x3) Winograd convolution in NumPy.  The padded input,
         tile gather, and full-tile output live in scratch (transform
         einsums still produce internal temporaries)."""
         x, weight, shape = self._check_run_args(x, weight)
@@ -457,24 +404,6 @@ class CuDNNFFTKernel(ConvKernel):
             )
         return launches
 
-    def run(self, x: np.ndarray, weight: np.ndarray) -> np.ndarray:
-        """Frequency-domain cross-correlation (only use on small shapes:
-        the transformed-filter tensor is O(C*N*H*W))."""
-        x, weight, shape = self._check_run_args(x, weight)
-        hf = shape.h + shape.r - 1
-        wf = shape.w + shape.s - 1
-        xp = pad_input(x, shape)  # (C, hf, wf)
-        kp = np.zeros((shape.n, shape.c, hf, wf), dtype=x.dtype)
-        kp[:, :, : shape.r, : shape.s] = weight
-        xf = np.fft.rfft2(xp, s=(hf, wf))
-        kf = np.fft.rfft2(kp, s=(hf, wf))
-        # Circular cross-correlation: IFFT( X * conj(K) ).
-        yf = np.einsum("chw,nchw->nhw", xf, np.conj(kf), optimize=True)
-        # np.fft always computes in double precision; cast back so the
-        # kernel's output dtype matches its inputs.
-        y = np.fft.irfft2(yf, s=(hf, wf)).astype(x.dtype, copy=False)
-        return y[:, : shape.h, : shape.w]
-
     def scratch_shapes(self, shape: ConvShape) -> Dict[str, Tuple[int, ...]]:
         return {
             "xpad": (shape.c, shape.padded_h, shape.padded_w),
@@ -482,8 +411,11 @@ class CuDNNFFTKernel(ConvKernel):
         }
 
     def run_into(self, x, weight, out, scratch):
-        """:meth:`run` with the padded input/filter tensors taken from
-        scratch (``np.fft`` still allocates its transforms internally)."""
+        """Frequency-domain cross-correlation, ``IFFT(X * conj(K))``,
+        with the padded input/filter tensors taken from scratch
+        (``np.fft`` still allocates its transforms internally; only use
+        on small shapes: the transformed-filter tensor is
+        O(C*N*H*W))."""
         x, weight, shape = self._check_run_args(x, weight)
         hf = shape.padded_h
         wf = shape.padded_w

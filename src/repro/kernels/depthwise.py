@@ -71,11 +71,11 @@ class DepthwiseConvKernel(ConvKernel):
         ]
 
     # -- functional execution -------------------------------------------
-    def _check_depthwise_args(
+    def _check_run_args(
         self, x: np.ndarray, weight: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray, ConvShape]:
-        # The shared _check_run_args demands 4-D (N,C,R,S) weights;
-        # depthwise weights are (C,R,S), so validate locally.
+        # The base check demands 4-D (N,C,R,S) weights; depthwise
+        # weights are (C,R,S), with one output channel per input.
         x = np.asarray(x)
         weight = np.asarray(weight)
         dtype = execution_dtype(x, weight)
@@ -95,12 +95,6 @@ class DepthwiseConvKernel(ConvKernel):
             r=weight.shape[1], s=weight.shape[2],
         )
         return x, weight, shape
-
-    def run(self, x: np.ndarray, weight: np.ndarray) -> np.ndarray:
-        x, weight, shape = self._check_depthwise_args(x, weight)
-        out = np.zeros((shape.c, shape.h, shape.w), dtype=x.dtype)
-        scratch = self.allocate_scratch(shape, dtype=x.dtype)
-        return self.run_into(x, weight, out, scratch).copy()
 
     def scratch_shapes(self, shape: ConvShape) -> Dict[str, Tuple[int, ...]]:
         return {

@@ -3,7 +3,7 @@
 The paper's code generator emits *one* specialized kernel per
 decomposed layer — the 1x1 input projection, the core conv, and the
 1x1 output projection never round-trip through global memory.  Our
-per-stage executor (``CompiledTuckerConv2d`` et al.) instead
+per-stage executor (``CompiledChainConv2d``) instead
 materializes every intermediate at full ``(C', H, W)`` extent in the
 arena, which is exactly the traffic the paper eliminates.
 
@@ -29,14 +29,10 @@ formats (Tucker / CP / TT):
   same-conv + subsample), and folds the output projection and bias
   epilogue in while the block is hot.  Strided and padded layers are
   handled directly in the block geometry.
-- An optional numba JIT tier, feature-gated on the package being
-  importable (``HAVE_NUMBA``) and the ``REPRO_FUSED_JIT`` environment
-  switch, falling back to the NumPy tiles when absent.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from math import ceil
 from typing import Dict, List, Optional, Tuple
@@ -47,60 +43,6 @@ from repro.gpusim.device import DeviceSpec
 from repro.gpusim.engine import KernelLaunch
 from repro.kernels.base import FLOAT_BYTES, ConvKernel, ConvShape
 from repro.nn.functional import conv_out_size
-
-# --------------------------------------------------------------------------
-# Optional numba tier (feature-gated; the container may not ship numba).
-# --------------------------------------------------------------------------
-try:  # pragma: no cover - exercised only where numba is installed
-    import numba  # type: ignore  # noqa: F401
-
-    HAVE_NUMBA = True
-except Exception:  # pragma: no cover - the ImportError branch is the norm
-    numba = None  # type: ignore
-    HAVE_NUMBA = False
-
-#: Environment switch for the JIT tier (only meaningful with numba).
-JIT_ENV_VAR = "REPRO_FUSED_JIT"
-
-
-def jit_enabled() -> bool:
-    """Whether the numba tier is active: numba importable and not
-    disabled via ``REPRO_FUSED_JIT=0``.  Without numba this is always
-    False and the NumPy tile path runs — same numerics, no hard dep."""
-    if not HAVE_NUMBA:
-        return False
-    return os.environ.get(JIT_ENV_VAR, "1") != "0"
-
-
-_JIT_CACHE: Dict[str, object] = {}
-
-
-def _jit_depthwise_accumulate():  # pragma: no cover - needs numba
-    """Compile (once) the depthwise core accumulation loop nest."""
-    if "dw" in _JIT_CACHE:
-        return _JIT_CACHE["dw"]
-    from numba import njit  # type: ignore
-
-    @njit(cache=False)
-    def dw_accum(z1, dw, y, start, stride, nrows, ow, k):
-        b, m = y.shape[0], y.shape[1]
-        for bi in range(b):
-            for ch in range(m):
-                for i in range(nrows):
-                    for j in range(ow):
-                        acc = 0.0
-                        for r in range(k):
-                            for s in range(k):
-                                acc += (
-                                    z1[bi, ch, i * stride + r,
-                                       start + j * stride + s]
-                                    * dw[ch, r, s]
-                                )
-                        y[bi, ch, i, j] = acc
-
-    _JIT_CACHE["dw"] = dw_accum
-    return dw_accum
-
 
 # --------------------------------------------------------------------------
 # Tiling: the generated fused kernel's shared-memory scheme.
@@ -253,12 +195,6 @@ class FusedCoreKernel(ConvKernel):
             "prod": (shape.n, tb, shape.w),
         }
 
-    def run(self, x: np.ndarray, weight: np.ndarray) -> np.ndarray:
-        x, weight, shape = self._check_run_args(x, weight)
-        out = np.zeros((shape.n, shape.h, shape.w), dtype=x.dtype)
-        scratch = self.allocate_scratch(shape, dtype=x.dtype)
-        return self.run_into(x, weight, out, scratch).copy()
-
     def run_into(
         self,
         x: np.ndarray,
@@ -408,8 +344,6 @@ class FusedChainExecutor:
             k, self.stride, self.dtype.itemsize, collapse_to=collapse_to,
         )
         self._scratch: Optional[Dict[str, np.ndarray]] = None
-        self._jit_dw = None
-        self._jit_failed = False
 
     # -- scratch ---------------------------------------------------------
     def scratch_shapes(self) -> Dict[str, Tuple[int, ...]]:
@@ -460,24 +394,6 @@ class FusedChainExecutor:
             for s in self.scratch_shapes().values()
         )
 
-    # -- numba tier ------------------------------------------------------
-    def _maybe_jit_dw(self):
-        """The depthwise core-loop JIT, compiled lazily; any compile
-        failure permanently falls back to the NumPy path."""
-        if self._jit_failed or not jit_enabled() or self.fmt == "tucker":
-            return None
-        if self._jit_dw is None:
-            try:  # pragma: no cover - needs numba
-                self._jit_dw = _jit_depthwise_accumulate()
-            except Exception:
-                self._jit_failed = True
-                return None
-        return self._jit_dw
-
-    @property
-    def uses_jit(self) -> bool:
-        return self._maybe_jit_dw() is not None
-
     # -- execution -------------------------------------------------------
     def run(
         self,
@@ -504,7 +420,6 @@ class FusedChainExecutor:
         pbuf = scratch["prod"]
         k, stride, start = self.k, self.stride, self.start
         origin, h, w = self.origin, self.h, self.w
-        jit_dw = self._maybe_jit_dw()
         for o0 in range(0, self.oh, self.block_rows):
             o1 = min(o0 + self.block_rows, self.oh)
             nrows = o1 - o0
@@ -530,38 +445,32 @@ class FusedChainExecutor:
             # ---- stage 2: core conv on strided views -------------------
             yv = ybuf[:b, :, :nrows, :]
             pv = pbuf[:b, :, :nrows, :]
-            if jit_dw is not None:  # pragma: no cover - needs numba
-                jit_dw(
-                    z1, self.mid_weight, yv, start, stride, nrows,
-                    self.ow, k,
-                )
-            else:
-                first = True
-                for ri in range(k):
-                    rs = slice(ri, ri + (nrows - 1) * stride + 1, stride)
-                    for si in range(k):
-                        cs = slice(
-                            start + si,
-                            start + si + (self.ow - 1) * stride + 1,
-                            stride,
+            first = True
+            for ri in range(k):
+                rs = slice(ri, ri + (nrows - 1) * stride + 1, stride)
+                for si in range(k):
+                    cs = slice(
+                        start + si,
+                        start + si + (self.ow - 1) * stride + 1,
+                        stride,
+                    )
+                    src = z1[:, :, rs, cs]
+                    tgt = yv if first else pv
+                    if self.fmt == "tucker":
+                        np.einsum(
+                            "em,bmhw->behw",
+                            self.mid_weight[:, :, ri, si], src,
+                            out=tgt, optimize=True,
                         )
-                        src = z1[:, :, rs, cs]
-                        tgt = yv if first else pv
-                        if self.fmt == "tucker":
-                            np.einsum(
-                                "em,bmhw->behw",
-                                self.mid_weight[:, :, ri, si], src,
-                                out=tgt, optimize=True,
-                            )
-                        else:
-                            np.multiply(
-                                src,
-                                self.mid_weight[None, :, ri, si, None, None],
-                                out=tgt,
-                            )
-                        if not first:
-                            yv += pv
-                        first = False
+                    else:
+                        np.multiply(
+                            src,
+                            self.mid_weight[None, :, ri, si, None, None],
+                            out=tgt,
+                        )
+                    if not first:
+                        yv += pv
+                    first = False
             # ---- stage 3: TT group-sum ---------------------------------
             if self.fmt == "tt":
                 gv = scratch["gsum"][:b, :, :nrows, :]

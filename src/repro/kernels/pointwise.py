@@ -93,15 +93,8 @@ class PointwiseConvKernel(ConvKernel):
             )
         ]
 
-    def run(self, x: np.ndarray, weight: np.ndarray) -> np.ndarray:
-        x, weight, shape = self._check_run_args(x, weight)
-        if shape.r != 1 or shape.s != 1:
-            raise ValueError("PointwiseConvKernel requires a 1x1 filter")
-        w_mat = weight[:, :, 0, 0]
-        return np.einsum("nc,chw->nhw", w_mat, x, optimize=True)
-
     def run_into(self, x, weight, out, scratch):
-        """Allocation-free :meth:`run`: the GEMM lands in ``out``."""
+        """The 1x1 conv as one GEMM landing in ``out``."""
         x, weight, shape = self._check_run_args(x, weight)
         if shape.r != 1 or shape.s != 1:
             raise ValueError("PointwiseConvKernel requires a 1x1 filter")

@@ -28,7 +28,7 @@ import numpy as np
 
 from repro.gpusim.device import DeviceSpec
 from repro.gpusim.engine import KernelLaunch, simulate_kernel
-from repro.kernels.base import FLOAT_BYTES, ConvKernel, ConvShape, pad_input
+from repro.kernels.base import FLOAT_BYTES, ConvKernel, ConvShape
 
 # Spatial tile / channel-block candidates explored by the tuner.
 SPATIAL_CANDIDATES: Tuple[int, ...] = (4, 7, 8, 14, 16, 28, 32)
@@ -145,37 +145,6 @@ class TVMDirectKernel(ConvKernel):
             )
         ]
 
-    def run(self, x: np.ndarray, weight: np.ndarray) -> np.ndarray:
-        """Functional tiled execution of the TVM scheme.
-
-        Loops output tiles and, inside each, the C dimension (the
-        shared-memory staging loop), accumulating TN channels at a
-        time.
-        """
-        x, weight, shape = self._check_run_args(x, weight)
-        t = self.tiling.clipped(shape)
-        xp = pad_input(x, shape)
-        y = np.zeros((shape.n, shape.h, shape.w), dtype=x.dtype)
-        for n0 in range(0, shape.n, t.tn):
-            n1 = min(n0 + t.tn, shape.n)
-            for h0 in range(0, shape.h, t.th):
-                hsz = min(t.th, shape.h - h0)
-                for w0 in range(0, shape.w, t.tw):
-                    wsz = min(t.tw, shape.w - w0)
-                    acc = np.zeros((n1 - n0, hsz, wsz), dtype=x.dtype)
-                    for c in range(shape.c):  # C loop with smem staging
-                        smem_in = xp[c, h0 : h0 + hsz + shape.r - 1,
-                                     w0 : w0 + wsz + shape.s - 1]
-                        smem_k = weight[n0:n1, c]
-                        for r in range(shape.r):
-                            for s in range(shape.s):
-                                acc += (
-                                    smem_in[r : r + hsz, s : s + wsz][None]
-                                    * smem_k[:, r, s][:, None, None]
-                                )
-                    y[n0:n1, h0 : h0 + hsz, w0 : w0 + wsz] = acc
-        return y
-
     def scratch_shapes(self, shape: ConvShape) -> Dict[str, Tuple[int, ...]]:
         t = self.tiling.clipped(shape)
         return {
@@ -185,8 +154,10 @@ class TVMDirectKernel(ConvKernel):
         }
 
     def run_into(self, x, weight, out, scratch):
-        """Allocation-free :meth:`run` (see the TDC kernel's variant
-        for the scratch contract)."""
+        """Functional tiled execution of the TVM scheme: loops output
+        tiles and, inside each, the C dimension (the shared-memory
+        staging loop), accumulating TN channels at a time (see the TDC
+        kernel for the scratch contract)."""
         x, weight, shape = self._check_run_args(x, weight)
         t = self.tiling.clipped(shape)
         xpad = scratch["xpad"]

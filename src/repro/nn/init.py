@@ -1,4 +1,4 @@
-"""Weight initializers (Kaiming / Xavier families).
+"""Weight initializers (Kaiming-normal, zeros, ones).
 
 All initializers take an explicit ``numpy.random.Generator`` so model
 construction is reproducible; see :mod:`repro.utils.rng`.
@@ -31,32 +31,6 @@ def kaiming_normal(
     rng = new_rng(seed)
     fan_in, _ = _fan_in_out(shape)
     std = gain / np.sqrt(fan_in)
-    return rng.standard_normal(tuple(shape)) * std
-
-
-def kaiming_uniform(
-    shape: Sequence[int], seed: SeedLike = None, gain: float = np.sqrt(2.0)
-) -> np.ndarray:
-    """He-uniform init: bound = gain * sqrt(3 / fan_in)."""
-    rng = new_rng(seed)
-    fan_in, _ = _fan_in_out(shape)
-    bound = gain * np.sqrt(3.0 / fan_in)
-    return rng.uniform(-bound, bound, tuple(shape))
-
-
-def xavier_uniform(shape: Sequence[int], seed: SeedLike = None) -> np.ndarray:
-    """Glorot-uniform init: bound = sqrt(6 / (fan_in + fan_out))."""
-    rng = new_rng(seed)
-    fan_in, fan_out = _fan_in_out(shape)
-    bound = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-bound, bound, tuple(shape))
-
-
-def xavier_normal(shape: Sequence[int], seed: SeedLike = None) -> np.ndarray:
-    """Glorot-normal init: std = sqrt(2 / (fan_in + fan_out))."""
-    rng = new_rng(seed)
-    fan_in, fan_out = _fan_in_out(shape)
-    std = np.sqrt(2.0 / (fan_in + fan_out))
     return rng.standard_normal(tuple(shape)) * std
 
 

@@ -2,8 +2,8 @@
 
 The executor half of the compile/execute split is single-threaded by
 construction — one arena, one in-flight request.  This package adds
-the thread-level parallelism ROADMAP item 2 names, without giving up
-either invariant the executor is built on:
+thread-level batch sharding inside each compiled site, without giving
+up either invariant the executor is built on:
 
 - **zero steady-state allocation** — every worker lane executes out of
   scratch carved from the same :class:`~repro.inference.executable.
@@ -22,10 +22,9 @@ Layout:
   runners (precomputed tile geometry + direct pairwise-einsum calls)
   that are validated bit-exact against their serial kernel before
   being installed.
-- :mod:`repro.runtime.engine` — per-site shard planning: by batch
-  when ``N > 1`` (every shard >= 2 samples), by output row blocks
-  (via :func:`repro.kernels.fused.select_block_rows`) when ``N`` is
-  small.
+- :mod:`repro.runtime.engine` — per-site shard planning: contiguous
+  sample ranges of at least 2 samples, one lane each.  A batch too
+  small to shard runs the site's prepared runner on one lane.
 """
 
 from repro.runtime.pool import (

@@ -2,24 +2,16 @@
 
 ``Executable.run`` parallelism happens *inside* each compiled site's
 forward (the inter-site topology — residuals, pooling, batch-norm —
-stays on the caller thread): the site fans its work out over worker
-lanes, joins, and returns the same arena buffer the serial path
-returns.  Two sharding axes:
-
-- **batch** (``N > 1``): contiguous sample ranges, every shard at
-  least :data:`MIN_BATCH_SHARD` samples — NumPy's cached two-operand
-  einsum specializes a batch of 1 differently from a batch of n, so
-  singleton shards are never produced and sliced stage einsums stay
-  bit-identical to the full-batch call (the determinism suite pins
-  this).
-- **output row blocks** (``N`` small): whole h-tile ranges of the core
-  kernel's output, sized from the fused path's cache model
-  (:func:`repro.kernels.fused.select_block_rows`) and balanced across
-  lanes.  Tasks own disjoint output rows and keep the serial c-tile
-  accumulation order per row, so the fan-out is bit-identical by
-  construction.  Row mode needs a prepared runner (only the TDC core
-  exposes a row entry point); sites without one fall back to serial at
-  small batch.
+stays on the caller thread): the site splits the batch into
+contiguous sample ranges, runs its one ``_body`` per range on a worker
+lane, joins, and returns the same arena buffer the serial path
+returns.  Every shard holds at least :data:`MIN_BATCH_SHARD` samples —
+NumPy's cached two-operand einsum specializes a batch of 1 differently
+from a batch of n, so singleton shards are never produced and sliced
+stage einsums stay bit-identical to the full-batch call (the
+determinism suite pins this).  A batch too small to shard runs one
+``_body`` on lane 0, through the site's prepared runner when it has
+one.
 
 The per-site parallel/serial decision is *not* made here — the perf
 model makes it at compile time (:mod:`repro.perfmodel.parallel`) and
@@ -29,7 +21,6 @@ plan; this module only executes what was decided.
 
 from __future__ import annotations
 
-from math import ceil
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -62,33 +53,6 @@ def plan_batch_shards(
     return shards
 
 
-def plan_row_shards(
-    h_tile_starts: Sequence[int], h: int, threads: int,
-    rows_cap: Optional[int] = None,
-) -> List[Tuple[int, int]]:
-    """Group whole h-tiles into row-block tasks.
-
-    Aims for ``threads`` balanced tasks; ``rows_cap`` (a cache-derived
-    row budget, e.g. from ``select_block_rows``) splits further when a
-    balanced task would exceed it.  Returns ``[(h_lo, h_hi), ...]``
-    covering ``[0, h)``; fewer than two tasks means row sharding is
-    off for this geometry.
-    """
-    starts = list(h_tile_starts)
-    if threads < 2 or len(starts) < 2:
-        return []
-    tile_h = (starts[1] - starts[0]) if len(starts) > 1 else h
-    per_task = ceil(len(starts) / threads)
-    if rows_cap is not None and rows_cap >= tile_h:
-        per_task = min(per_task, max(1, rows_cap // tile_h))
-    shards: List[Tuple[int, int]] = []
-    for i in range(0, len(starts), per_task):
-        chunk = starts[i:i + per_task]
-        h_hi = chunk[-1] + tile_h
-        shards.append((chunk[0], min(h_hi, h)))
-    return shards
-
-
 class SiteParallel:
     """Everything one compiled site needs to fan out: decided at
     compile time, immutable at run time.
@@ -109,7 +73,6 @@ class SiteParallel:
         runner=None,
         site_latency_s: float = 0.0,
         est_speedup: float = 1.0,
-        rows_cap: Optional[int] = None,
     ) -> None:
         if threads < 2:
             raise ValueError("SiteParallel needs threads >= 2")
@@ -119,37 +82,9 @@ class SiteParallel:
         self.runner = runner
         self.site_latency_s = float(site_latency_s)
         self.est_speedup = float(est_speedup)
-        self.rows_cap = rows_cap
-        self._row_shards: Optional[List[Tuple[int, int]]] = None
-        self._row_lane_groups: List[List[Tuple[int, int]]] = []
-        if runner is not None and getattr(runner, "h_tile_starts", None):
-            self._row_shards = plan_row_shards(
-                runner.h_tile_starts, runner.shape.h, threads,
-                rows_cap=rows_cap,
-            )
-            if self._row_shards:
-                # One task per lane; a lane walks its (cache-capped)
-                # blocks sequentially so no two concurrent tasks ever
-                # share a scratch set.
-                per = ceil(len(self._row_shards) / threads)
-                self._row_lane_groups = [
-                    self._row_shards[i:i + per]
-                    for i in range(0, len(self._row_shards), per)
-                ]
 
     def batch_shards(self, batch: int) -> List[Tuple[int, int]]:
         return plan_batch_shards(batch, self.threads)
-
-    @property
-    def row_shards(self) -> List[Tuple[int, int]]:
-        """Row-block tasks for the small-batch axis ([] = unavailable)."""
-        return self._row_shards or []
-
-    @property
-    def row_lane_groups(self) -> List[List[Tuple[int, int]]]:
-        """Row blocks grouped one-list-per-lane (each lane runs its
-        list sequentially with its own scratch)."""
-        return self._row_lane_groups
 
     @property
     def per_worker_scratch_bytes(self) -> int:

@@ -26,7 +26,7 @@ path rather than shipping wrong bits.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -68,20 +68,16 @@ class PreparedTDCRunner:
     are safe.
     """
 
-    kind = "tdc"
-
     def __init__(self, kernel: TDCDirectKernel, weight: np.ndarray,
                  shape: ConvShape) -> None:
         t = kernel.tiling.clipped(shape)
         self.shape = shape
-        self.tiling = t
-        self.weight = weight
         r, s = shape.r, shape.s
         # The tile walk, fully clipped: (c-tile index, c0, c1, h0, hsz,
         # w0, wsz) in the serial kernel's exact iteration order.
         tiles: List[Tuple[int, int, int, int, int, int, int]] = []
-        self._ctiles = list(range(0, shape.c, t.tc))
-        for ci, c0 in enumerate(self._ctiles):
+        ctiles = range(0, shape.c, t.tc)
+        for ci, c0 in enumerate(ctiles):
             c1 = min(c0 + t.tc, shape.c)
             for h0 in range(0, shape.h, t.th):
                 hsz = min(t.th, shape.h - h0)
@@ -89,13 +85,11 @@ class PreparedTDCRunner:
                     wsz = min(t.tw, shape.w - w0)
                     tiles.append((ci, c0, c1, h0, hsz, w0, wsz))
         self.tiles = tiles
-        #: h-tile starts, for row-block sharding at small batch.
-        self.h_tile_starts = list(range(0, shape.h, t.th))
         # Per-tap weight views, exactly the strided views the serial
         # loop slices (same operands -> same internal dispatch -> same
         # bits); weights are frozen at compile so views stay valid.
         self.wtaps: List[List[np.ndarray]] = []
-        for c0 in self._ctiles:
+        for c0 in ctiles:
             c1 = min(c0 + t.tc, shape.c)
             self.wtaps.append(
                 [weight[:, c0:c1, i, j] for i in range(r) for j in range(s)]
@@ -105,42 +99,14 @@ class PreparedTDCRunner:
                  scratch: Dict[str, np.ndarray]) -> np.ndarray:
         """Drop-in for ``kernel.run_into(x, weight, out, scratch)``."""
         shape = self.shape
+        r, s = shape.r, shape.s
         xpad, temp, prod = scratch["xpad"], scratch["temp"], scratch["prod"]
         ph, pw = shape.pad
         xpad[:, ph:ph + shape.h, pw:pw + shape.w] = x
         out.fill(0.0)
-        self._run_tiles(self.tiles, xpad, temp, prod, out)
-        return out
-
-    # -- row-block mode (small batch) -----------------------------------
-    def stage(self, x: np.ndarray, scratch: Dict[str, np.ndarray]) -> None:
-        """Stage the padded input once before a row-block fan-out."""
-        shape = self.shape
-        ph, pw = shape.pad
-        scratch["xpad"][:, ph:ph + shape.h, pw:pw + shape.w] = x
-
-    def run_rows(self, xpad: np.ndarray, out: np.ndarray,
-                 h_lo: int, h_hi: int,
-                 scratch: Dict[str, np.ndarray]) -> None:
-        """Compute output rows ``[h_lo, h_hi)`` (whole h-tiles only).
-
-        ``xpad`` is the shared staged input (read-only here); ``temp``
-        and ``prod`` come from the worker lane's scratch.  Within the
-        row range the ``(c-tile, h-tile, w-tile)`` walk keeps the
-        serial order, so each output element accumulates its c-tile
-        contributions in the exact serial sequence — tasks own disjoint
-        rows, which makes the fan-out bit-identical by construction.
-        """
-        tiles = [tl for tl in self.tiles if h_lo <= tl[3] < h_hi]
-        self._run_tiles(tiles, xpad, scratch["temp"], scratch["prod"], out)
-
-    def _run_tiles(self, tiles: Sequence[Tuple[int, ...]], xpad, temp, prod,
-                   out) -> None:
-        shape = self.shape
-        r, s = shape.r, shape.s
         wtaps = self.wtaps
         einsum2 = fast_pairwise_einsum
-        for ci, c0, c1, h0, hsz, w0, wsz in tiles:
+        for ci, c0, c1, h0, hsz, w0, wsz in self.tiles:
             smem = xpad[c0:c1, h0:h0 + hsz + r - 1, w0:w0 + wsz + s - 1]
             acc = temp[:, :hsz, :wsz]
             p = prod[:, :hsz, :wsz]
@@ -158,6 +124,7 @@ class PreparedTDCRunner:
                     acc += p
                     ti += 1
             out[:, h0:h0 + hsz, w0:w0 + wsz] += acc
+        return out
 
 
 def prepare_tdc_runner(

@@ -62,8 +62,6 @@ from repro.serving.session import (
     RequestCancelled,
     SessionRegistry,
     SessionStats,
-    create_session,
-    get_session,
     latency_quantile,
     warm_for_model,
 )
@@ -99,9 +97,7 @@ __all__ = [
     "SessionRegistry",
     "SessionStats",
     "WorkerCrash",
-    "create_session",
     "deploy_fleet",
-    "get_session",
     "latency_quantile",
     "make_router",
     "warm_for_model",

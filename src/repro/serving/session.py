@@ -984,14 +984,3 @@ class SessionRegistry:
 
 #: Process-wide default registry (the CLI and examples deploy here).
 DEFAULT_REGISTRY = SessionRegistry()
-
-
-def get_session(name: str) -> InferenceSession:
-    """Look a session up in the default registry."""
-    return DEFAULT_REGISTRY.get(name)
-
-
-def create_session(*args, **kwargs) -> InferenceSession:
-    """Create (or reuse) a session in the default registry; see
-    :meth:`SessionRegistry.create`."""
-    return DEFAULT_REGISTRY.create(*args, **kwargs)

@@ -60,6 +60,17 @@ class CompiledSite:
         return y.astype(np.float32)
 """
 
+# A compiled site that defines only ``_body``: its ``forward`` lives in
+# a base class, so the rule must treat ``_body`` itself as an entry.
+CHAIN_VIOLATION = """
+import numpy as np
+
+class CompiledChainConv2d(_CompiledSite):
+    def _body(self, x, lo, hi, scratch, kernel):
+        z = np.pad(x[lo:hi], 1)
+        kernel.run_into(z, None, self.out[lo:hi], scratch)
+"""
+
 HOT_CLEAN = """
 import numpy as np
 
@@ -87,6 +98,11 @@ def test_hot_path_alloc_seeded_violation(tmp_path):
     assert any("np.zeros()" in m for m in messages)
     assert any(".astype()" in m for m in messages)
     assert all(f.symbol == "CompiledSite._body" for f in findings)
+    chain = lint(tmp_path, "chain.py", CHAIN_VIOLATION, ["hot-path-alloc"])
+    assert [(f.symbol, f.message) for f in chain] == [(
+        "CompiledChainConv2d._body",
+        "allocating call np.pad() in hot path CompiledChainConv2d._body",
+    )]
 
 
 def test_hot_path_alloc_clean_pass(tmp_path):

@@ -10,7 +10,7 @@ from repro.backends import backend_names, get_backend
 from repro.codesign.pipeline import decompose_for_device
 from repro.gpusim.device import A100
 from repro.inference import compile_model, compile_plan, plan_model
-from repro.inference.executable import BufferArena, CompiledTuckerConv2d
+from repro.inference.executable import BufferArena, CompiledChainConv2d
 from repro.inference.plan import plan_tucker_model
 from repro.kernels.base import reference_conv
 from repro.kernels.cudnn import CuDNNWinogradKernel
@@ -101,7 +101,8 @@ def test_compile_respects_fixed_backend_dispatch():
         model, A100, image_hw=IMAGE_HW, core_backend="cudnn-winograd"
     )
     tucker_sites = [
-        s for s in exe.sites() if isinstance(s, CompiledTuckerConv2d)
+        s for s in exe.sites()
+        if isinstance(s, CompiledChainConv2d) and s.format == "tucker"
     ]
     assert tucker_sites, "expected at least one compiled Tucker site"
     for site in tucker_sites:

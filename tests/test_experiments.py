@@ -50,7 +50,7 @@ SMALL_SHAPES = [
 class TestLayerwise:
     @pytest.fixture(scope="class")
     def rows_a100(self):
-        return layerwise.run_rows(A100, shapes=SMALL_SHAPES)
+        return layerwise.measure_rows(A100, shapes=SMALL_SHAPES)
 
     def test_tdc_oracle_wins_small_shapes(self, rows_a100):
         wins = sum(1 for r in rows_a100 if r.tdc_wins())
@@ -76,12 +76,12 @@ class TestLayerwise:
 
 class TestOracleGap:
     def test_gap_in_paper_band(self):
-        rows = oracle_gap.run_rows(A100, shapes=SMALL_SHAPES)
+        rows = oracle_gap.measure_rows(A100, shapes=SMALL_SHAPES)
         gap = oracle_gap.mean_gap(rows)
         assert 1.0 <= gap < 2.6  # paper ~1.25; simulator lands <2.6
 
     def test_model_faster_than_tvm_on_average(self):
-        rows = oracle_gap.run_rows(RTX2080TI, shapes=SMALL_SHAPES)
+        rows = oracle_gap.measure_rows(RTX2080TI, shapes=SMALL_SHAPES)
         assert oracle_gap.mean_tvm_advantage(rows) > 1.0
 
     def test_table_has_mean_row(self):

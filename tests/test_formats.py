@@ -16,7 +16,7 @@ from repro.codesign.pipeline import decompose_for_device
 from repro.codesign.rank_selection import LayerShape, select_ranks
 from repro.gpusim.device import A100
 from repro.inference import compile_plan, plan_model
-from repro.inference.executable import CompiledCPConv2d, CompiledTTConv2d
+from repro.inference.executable import CompiledChainConv2d
 from repro.models.introspection import (
     find_module,
     replace_module,
@@ -298,8 +298,8 @@ def test_mixed_format_plan_kinds_and_compiled_sites(mixed_model):
     assert kinds[f"{tucker_site}.core"] == "core"
     assert kinds[f"{cp_site}.core"] == "dwcore"
     assert kinds[f"{tt_site}.core"] == "dwcore"
-    # A fixed per-stage backend binds the per-stage compiled forms
-    # (under "auto" the fused backend may win and replace them with
+    # A fixed per-stage backend binds the chain site for every format
+    # (under "auto" the fused backend may win and replace it with
     # CompiledFusedSite — covered in test_fused.py).
     plan = plan_model(
         model, A100, IMAGE_HW, core_backend="tdc-model", sites=sites,
@@ -308,8 +308,10 @@ def test_mixed_format_plan_kinds_and_compiled_sites(mixed_model):
         plan, model, A100, image_hw=IMAGE_HW, max_batch=1, sites=sites,
     )
     by_name = {s.site_name: s for s in exe.sites()}
-    assert isinstance(by_name[cp_site], CompiledCPConv2d)
-    assert isinstance(by_name[tt_site], CompiledTTConv2d)
+    for name, fmt in ((cp_site, "cp"), (tt_site, "tt")):
+        assert isinstance(by_name[name], CompiledChainConv2d)
+        assert by_name[name].format == fmt
+        assert by_name[name].backend == "depthwise"
 
 
 def test_plan_model_rejects_disallowed_format(mixed_model):

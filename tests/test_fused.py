@@ -1,5 +1,5 @@
 """Fused whole-chain executor: correctness matrix, backend dispatch,
-arena shrink, and the numba feature gate."""
+and arena shrink."""
 
 from __future__ import annotations
 
@@ -18,12 +18,10 @@ from repro.inference import compile_model
 from repro.inference.executable import CompiledFusedSite
 from repro.kernels.base import ConvShape
 from repro.kernels.fused import (
-    HAVE_NUMBA,
     FusedChainExecutor,
     FusedTiling,
     fused_core_launch,
     fused_smem_bytes,
-    jit_enabled,
     select_block_rows,
     select_fused_tiling,
 )
@@ -237,20 +235,6 @@ def test_fused_calibration_sample_and_attribution():
     assert run.aux_predicted_s >= 0
 
 
-# ---------------------------------------------------------------------------
-# Satellite: the numba JIT feature gate (numba is absent here)
-# ---------------------------------------------------------------------------
-
-def test_jit_gate_off_without_numba(monkeypatch):
-    if HAVE_NUMBA:  # pragma: no cover - environment-dependent
-        monkeypatch.setenv("REPRO_FUSED_JIT", "0")
-        assert jit_enabled() is False
-        return
-    assert jit_enabled() is False
-    monkeypatch.setenv("REPRO_FUSED_JIT", "1")
-    assert jit_enabled() is False  # no numba -> permanently off
-
-
 def test_executor_runs_without_jit():
     ex = FusedChainExecutor(
         "cp",
@@ -264,7 +248,6 @@ def test_executor_runs_without_jit():
         padding=1,
         max_batch=1,
     )
-    assert ex.uses_jit is False
     scratch = {
         name: np.zeros(shape) for name, shape in ex.scratch_shapes().items()
     }
