@@ -7,8 +7,10 @@ cannot help with — in four scenarios:
    one vectorized batch pass (single process);
 2. cold MODEL sweep on the same shapes, scalar vs batched;
 3. the performance-table selection grid (every ``(D1, D2)`` core
-   shape's full candidate sweep): per-shape scalar loops vs one
-   concatenated ``select_tilings_grid`` pass;
+   shape's full candidate sweep), for both methods: per-shape scalar
+   loops vs one ``select_tilings_grid`` call (one concatenated
+   simulator pass for the oracle; the cross-shape two-stage filter
+   for the model, the path ``select_ranks`` uses);
 4. cold ``build_performance_table`` serial vs ``workers=N`` (both on
    the batched path) — process fan-out composing with per-worker
    vectorization.
@@ -192,7 +194,10 @@ def main() -> int:
             bench_single_shape_sweeps(device, shapes, "oracle", repeats),
             bench_single_shape_sweeps(device, shapes, "model", repeats),
         ],
-        "table_grid": [bench_table_grid(device, "oracle", repeats)],
+        "table_grid": [
+            bench_table_grid(device, "oracle", repeats),
+            bench_table_grid(device, "model", repeats),
+        ],
     }
     if not args.quick:
         results["table_build"] = [

@@ -143,19 +143,23 @@ def is_feasible_batch(
 
     Accepts unclipped tile arrays (they are clipped exactly as the
     scalar path clips) and never raises for infeasible candidates —
-    they simply come back ``False``.
+    they simply come back ``False``.  The shape's fields may be scalars
+    or per-candidate arrays (one grid spanning many shapes).
     """
     th, tw, tc = clip_tile_arrays(shape, th, tw, tc)
-    if shape.n > device.max_threads_per_block:
-        return np.zeros(len(th), dtype=bool)
+    threads = np.full(len(th), shape.n, dtype=np.int64)
     smem = smem_bytes_batch(shape, th, tw, tc)
     regs = regs_per_thread_batch(shape, th, tw)
-    ok = (smem <= device.shared_mem_per_block) & (regs <= MAX_REGS_PER_THREAD)
+    ok = (
+        (threads <= device.max_threads_per_block)
+        & (smem <= device.shared_mem_per_block)
+        & (regs <= MAX_REGS_PER_THREAD)
+    )
     # Occupancy only for candidates that pass the block-level limits;
     # the others get a safely-clipped footprint and are masked anyway.
     blocks = compute_occupancy_batch(
         device,
-        threads_per_block=np.full(len(th), shape.n, dtype=np.int64),
+        threads_per_block=np.where(ok, threads, 1),
         smem_per_block=np.where(ok, smem, 0),
         regs_per_thread=np.where(ok, regs, 0),
     )

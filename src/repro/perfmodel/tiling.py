@@ -70,6 +70,70 @@ class TilingChoice:
     method: str                  # "oracle" | "model"
 
 
+@dataclass(frozen=True, eq=False)
+class _ShapeColumns:
+    """:class:`ConvShape` fields as ``int64`` arrays, one entry per row.
+
+    The batched feasibility, launch and Eq. 14/15/19 expressions read
+    the shape's fields only arithmetically, so they broadcast over
+    these columns: one call evaluates the candidates of many shapes.
+    """
+
+    c: np.ndarray
+    n: np.ndarray
+    h: np.ndarray
+    w: np.ndarray
+    r: np.ndarray
+    s: np.ndarray
+
+    @classmethod
+    def of(cls, shapes: Sequence[ConvShape]) -> "_ShapeColumns":
+        dims = np.array([s.as_tuple() for s in shapes], dtype=np.int64)
+        return cls(*dims.T)
+
+    def take(self, rows: np.ndarray) -> "_ShapeColumns":
+        return _ShapeColumns(
+            self.c[rows], self.n[rows], self.h[rows],
+            self.w[rows], self.r[rows], self.s[rows],
+        )
+
+    def __str__(self) -> str:
+        return ",".join(
+            f"({c},{n},{h},{w})" for c, n, h, w in zip(
+                self.c.tolist(), self.n.tolist(), self.h.tolist(), self.w.tolist()
+            )
+        )
+
+
+def _first_occurrence(values: np.ndarray) -> np.ndarray:
+    """Mask of the first occurrence of each value along every row."""
+    earlier = np.tri(values.shape[1], k=-1, dtype=bool)
+    return ~np.any((values[:, :, None] == values[:, None, :]) & earlier, axis=2)
+
+
+def _candidate_segments(
+    cols: _ShapeColumns, spatial: Sequence[int], channel: Sequence[int]
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Concatenated candidate grids of many shapes: ``(seg, TH, TW, TC)``.
+
+    ``seg`` is each row's shape index (non-decreasing).  A shape's grid
+    is the product of the per-axis tile lists clipped to ``(h, w, c)``
+    with repeats dropped at their first occurrence.  Clipping acts per
+    axis, so that product is exactly the deduplicated triple loop
+    (TH outer, TW, then TC).
+    """
+    th = np.minimum(np.asarray(spatial, dtype=np.int64), cols.h[:, None])
+    tw = np.minimum(np.asarray(spatial, dtype=np.int64), cols.w[:, None])
+    tc = np.minimum(np.asarray(channel, dtype=np.int64), cols.c[:, None])
+    keep = (
+        _first_occurrence(th)[:, :, None, None]
+        & _first_occurrence(tw)[:, None, :, None]
+        & _first_occurrence(tc)[:, None, None, :]
+    )
+    seg, i, j, k = np.nonzero(keep)
+    return seg, th[seg, i], tw[seg, j], tc[seg, k]
+
+
 def candidate_grid(
     shape: ConvShape,
     spatial: Sequence[int] = SPATIAL_TILES,
@@ -77,24 +141,17 @@ def candidate_grid(
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The clipped, deduplicated ``(TH, TW, TC)`` candidate arrays.
 
-    Enumeration order matches the scalar triple loop (TH outer, TW,
-    then TC), with duplicates introduced by clipping removed at their
-    first occurrence — so downstream argmins see candidates in the
-    same order as the scalar path.
+    The product of the per-axis first-occurrence lists of ``spatial``
+    (clipped to ``h`` and ``w``) and ``channel`` (clipped to ``c``).
+    Its order is the scalar triple loop's (TH outer, TW, then TC) with
+    clipping duplicates removed at their first occurrence, so
+    downstream argmins see candidates in the same order as the scalar
+    path.
     """
-    sp = np.asarray(spatial, dtype=np.int64)
-    ch = np.asarray(channel, dtype=np.int64)
-    n_sp, n_ch = len(sp), len(ch)
-    th = np.repeat(sp, n_sp * n_ch)
-    tw = np.tile(np.repeat(sp, n_ch), n_sp)
-    tc = np.tile(ch, n_sp * n_sp)
-    th = np.minimum(th, shape.h)
-    tw = np.minimum(tw, shape.w)
-    tc = np.minimum(tc, shape.c)
-    _, first = np.unique(np.stack([th, tw, tc], axis=1), axis=0,
-                         return_index=True)
-    first.sort()
-    return th[first], tw[first], tc[first]
+    _, th, tw, tc = _candidate_segments(
+        _ShapeColumns.of([shape]), spatial, channel
+    )
+    return th, tw, tc
 
 
 def _feasible_grid(
@@ -236,35 +293,84 @@ def select_tiling_oracle_scalar(
     )
 
 
-def _model_pick(
-    shape: ConvShape,
-    device: DeviceSpec,
+# Shapes per cross-shape MODEL pass.  A shape has at most
+# len(SPATIAL_TILES)**2 * len(CHANNEL_TILES) = 900 candidates, so one
+# chunk's concatenated grid stays under ~58k rows (a few MB of columns).
+_MODEL_CHUNK = 64
+
+
+def _model_pass(
+    cols: _ShapeColumns,
+    seg: np.ndarray,
     th: np.ndarray,
     tw: np.ndarray,
     tc: np.ndarray,
+    device: DeviceSpec,
     frac: float,
-) -> TilingChoice:
-    """The Sec. 5.5 two-stage filter as array argsorts.
+) -> List[TilingChoice]:
+    """The Sec. 5.5 two-stage filter over concatenated candidate segments.
 
-    Sort by (comp, mem, TH, TW, TC), keep the top fraction, then take
-    the minimum by (mem, comp, TH, TW, TC) among the survivors — the
-    same total order the scalar sorts use, so the winner is identical.
+    ``seg`` (non-decreasing, no empty segment) names each row's shape
+    and ``cols`` holds that shape's fields per row.  Per segment: sort
+    by (comp, mem, TH, TW, TC), keep the top fraction, then take the
+    minimum by (mem, comp, TH, TW, TC) among the survivors.  Both sorts
+    are one ``lexsort`` keyed by segment first, so every segment sees
+    the same total order as the scalar sorts and the winner is
+    identical.  Returns one choice per segment, in segment order.
     """
-    comp = comp_latency_batch(shape, device, th, tw, tc)
-    mem = memory_latency_batch(shape, device, th, tw, tc)
-    order = np.lexsort((tc, tw, th, mem, comp))
-    keep = max(1, ceil(len(order) * frac))
-    surv = order[:keep]
-    sub = np.lexsort((tc[surv], tw[surv], th[surv], comp[surv], mem[surv]))
-    i = int(surv[int(sub[0])])
-    t = Tiling(int(th[i]), int(tw[i]), int(tc[i]))
-    return TilingChoice(
-        tiling=t,
-        simulated_latency=TDCDirectKernel(t).latency(shape, device),
-        comp_latency=float(comp[i]),
-        memory_latency=float(mem[i]),
-        method="model",
-    )
+    comp = comp_latency_batch(cols, device, th, tw, tc)
+    mem = memory_latency_batch(cols, device, th, tw, tc)
+    counts = np.bincount(seg)
+    # A segment-major sort leaves seg[order] == seg, so a sorted
+    # position's rank inside its segment is its offset from the start.
+    rank = np.arange(len(seg)) - (np.cumsum(counts) - counts)[seg]
+    keep = np.maximum(1, np.ceil(counts * frac))
+    order = np.lexsort((tc, tw, th, mem, comp, seg))
+    surv = order[rank < keep[seg]]
+    surv = surv[np.lexsort(
+        (tc[surv], tw[surv], th[surv], comp[surv], mem[surv], seg[surv])
+    )]
+    win = surv[np.flatnonzero(np.diff(seg[surv], prepend=-1))]
+    sim = simulate_kernels_batch(
+        device, tdc_launch_batch(cols.take(win), device, th[win], tw[win], tc[win])
+    ).total
+    return [
+        TilingChoice(
+            tiling=Tiling(a, b, c),
+            simulated_latency=lat,
+            comp_latency=cl,
+            memory_latency=ml,
+            method="model",
+        )
+        for a, b, c, lat, cl, ml in zip(
+            th[win].tolist(), tw[win].tolist(), tc[win].tolist(),
+            sim.tolist(), comp[win].tolist(), mem[win].tolist(),
+        )
+    ]
+
+
+def _select_model_grid(
+    shapes: Sequence[ConvShape], device: DeviceSpec, frac: float
+) -> List[TilingChoice]:
+    """MODEL selection for many shapes, one cross-shape pass per chunk
+    of :data:`_MODEL_CHUNK` shapes over their default candidate grids."""
+    choices: List[TilingChoice] = []
+    for lo in range(0, len(shapes), _MODEL_CHUNK):
+        chunk = shapes[lo:lo + _MODEL_CHUNK]
+        cols = _ShapeColumns.of(chunk)
+        seg, th, tw, tc = _candidate_segments(cols, SPATIAL_TILES, CHANNEL_TILES)
+        rows = cols.take(seg)
+        ok = is_feasible_batch(rows, device, th, tw, tc)
+        n_ok = np.bincount(seg[ok], minlength=len(chunk))
+        if not n_ok.all():
+            raise ValueError(
+                f"no feasible TDC tiling for {chunk[int(np.argmin(n_ok))]} "
+                f"on {device.name}"
+            )
+        choices += _model_pass(
+            rows.take(ok), seg[ok], th[ok], tw[ok], tc[ok], device, frac
+        )
+    return choices
 
 
 def _check_top_fraction(device: DeviceSpec, top_fraction: Optional[float]) -> float:
@@ -290,10 +396,12 @@ def select_tiling_model(
     """
     frac = _check_top_fraction(device, top_fraction)
     if candidates is None:
-        th, tw, tc = _feasible_grid(shape, device, SPATIAL_TILES, CHANNEL_TILES)
-    else:
-        th, tw, tc = _candidate_arrays(candidates)
-    return _model_pick(shape, device, th, tw, tc, frac)
+        return _select_model_grid([shape], device, frac)[0]
+    th, tw, tc = _candidate_arrays(candidates)
+    seg = np.zeros(len(th), dtype=np.int64)
+    return _model_pass(
+        _ShapeColumns.of([shape]).take(seg), seg, th, tw, tc, device, frac
+    )[0]
 
 
 def select_tiling_model_scalar(
@@ -339,26 +447,27 @@ def select_tilings_grid(
     grid is packed into **one** concatenated launch batch and a single
     :func:`simulate_kernels_batch` call evaluates the whole
     shapes-x-candidates grid; per-shape argmins then slice the result.
-    The model path is array math per shape (no simulation sweep).
-    Results match per-shape :func:`select_tiling_oracle` /
-    :func:`select_tiling_model` exactly.
+    The model path is one cross-shape pass per chunk of shapes: their
+    grids are concatenated with per-row shape columns, Eq. 14/15/19 and
+    feasibility run once over all rows, segmented lexsorts apply the
+    two-stage filter per shape, and the winners' simulated latencies
+    come from one batch simulation.  Results match per-shape
+    :func:`select_tiling_oracle` / :func:`select_tiling_model` exactly.
     """
     if method not in ("model", "oracle"):
         raise ValueError(f"unknown tiling selection method {method!r}")
     shapes = list(shapes)
     if not shapes:
         return []
+    if method == "model":
+        return _select_model_grid(
+            shapes, device, _check_top_fraction(device, top_fraction)
+        )
+
     grids = [
         _feasible_grid(shape, device, SPATIAL_TILES, CHANNEL_TILES)
         for shape in shapes
     ]
-    if method == "model":
-        frac = _check_top_fraction(device, top_fraction)
-        return [
-            _model_pick(shape, device, th, tw, tc, frac)
-            for shape, (th, tw, tc) in zip(shapes, grids)
-        ]
-
     batches = [
         tdc_launch_batch(shape, device, th, tw, tc, pre_checked=True)
         for shape, (th, tw, tc) in zip(shapes, grids)

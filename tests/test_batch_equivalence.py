@@ -9,6 +9,8 @@ Every assertion here is ``==``, never approx.
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -38,6 +40,10 @@ from repro.perfmodel.analytical import (
     memory_latency_batch,
 )
 from repro.perfmodel.tiling import (
+    CHANNEL_TILES,
+    SPATIAL_TILES,
+    _MODEL_CHUNK,
+    candidate_grid,
     clear_tiling_cache,
     enumerate_tilings,
     enumerate_tilings_scalar,
@@ -314,3 +320,85 @@ class TestGridSelector:
             select_tilings_grid([ConvShape(8, 8, 8, 8)], A100, method="bogus")
         with pytest.raises(ValueError):
             select_tilings([ConvShape(8, 8, 8, 8)], A100, method="bogus")
+
+
+def _mixed_shapes(n_shapes: int, seed: int):
+    """Shapes that differ in every field, so their candidate grids
+    differ in length and in which rows survive feasibility."""
+    rng = np.random.default_rng(seed)
+    extents = (1, 2, 3, 5, 7, 8, 13, 14, 28, 31, 56, 64)
+    return [
+        ConvShape(
+            c=int(rng.integers(1, 301)),
+            n=int(rng.integers(1, 1025)),
+            h=int(rng.choice(extents)),
+            w=int(rng.choice(extents)),
+            r=int(rng.choice([1, 3, 5, 7])),
+            s=int(rng.choice([1, 3, 5, 7])),
+        )
+        for _ in range(n_shapes)
+    ]
+
+
+class TestCrossShapeModelPass:
+    """One ``select_tilings_grid(method="model")`` call evaluates all of
+    its shapes together; each result must still equal the per-shape
+    scalar reference."""
+
+    @pytest.mark.parametrize("device", DEVICES, ids=lambda d: d.name)
+    def test_mixed_list_matches_scalar(self, device):
+        shapes = _mixed_shapes(2 * _MODEL_CHUNK + 9, seed=13)
+        assert len({len(candidate_grid(s)[0]) for s in shapes}) > 10
+        got = select_tilings_grid(shapes, device, method="model")
+        assert len(got) == len(shapes)
+        for shape, choice in zip(shapes, got):
+            assert choice == select_tiling_model_scalar(shape, device), shape
+
+    @pytest.mark.parametrize("device", DEVICES, ids=lambda d: d.name)
+    def test_infeasible_shape_raises(self, device):
+        bad = ConvShape(c=16, n=device.max_threads_per_block + 1, h=8, w=8)
+        with pytest.raises(ValueError):
+            select_tiling_model_scalar(bad, device)
+        shapes = _mixed_shapes(_MODEL_CHUNK + 5, seed=5)
+        shapes.insert(_MODEL_CHUNK + 2, bad)
+        message = f"no feasible TDC tiling for {bad} on {device.name}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            select_tilings_grid(shapes, device, method="model")
+        with pytest.raises(ValueError, match=re.escape(message)):
+            select_tiling_model(bad, device)
+
+
+def _unique_grid(shape, spatial, channel):
+    """The ``np.unique``-based construction ``candidate_grid`` replaced:
+    materialize the clipped triple loop, keep each first occurrence."""
+    sp = np.asarray(spatial, dtype=np.int64)
+    ch = np.asarray(channel, dtype=np.int64)
+    n_sp, n_ch = len(sp), len(ch)
+    th = np.minimum(np.repeat(sp, n_sp * n_ch), shape.h)
+    tw = np.minimum(np.tile(np.repeat(sp, n_ch), n_sp), shape.w)
+    tc = np.minimum(np.tile(ch, n_sp * n_sp), shape.c)
+    _, first = np.unique(np.stack([th, tw, tc], axis=1), axis=0,
+                         return_index=True)
+    first.sort()
+    return th[first], tw[first], tc[first]
+
+
+class TestCandidateGrid:
+    CUSTOM = [
+        (SPATIAL_TILES, CHANNEL_TILES),
+        ((8, 3, 8, 100, 1, 3, 64), (512, 4, 4, 1, 300, 2)),
+        ((5, 5, 5), (7,)),
+        ((90, 1, 45, 2, 90), (1, 1000, 1, 16, 1000)),
+    ]
+
+    @pytest.mark.parametrize("spatial,channel", CUSTOM)
+    def test_matches_unique_reference(self, spatial, channel):
+        for h in (1, 2, 3, 5, 8, 13, 28, 56, 57, 120):
+            for w in (1, 4, 7, 30, 64):
+                for c in (1, 3, 16, 100, 257, 600):
+                    shape = ConvShape(c=c, n=8, h=h, w=w)
+                    got = candidate_grid(shape, spatial, channel)
+                    ref = _unique_grid(shape, spatial, channel)
+                    for g, r in zip(got, ref):
+                        assert g.dtype == r.dtype
+                        assert np.array_equal(g, r), (shape, spatial, channel)

@@ -443,3 +443,35 @@ class TestConvShapeKeyCompleteness:
         c3 = select_tiling(shape3, A100, "model")
         c5 = select_tiling(shape5, A100, "model")
         assert c3.simulated_latency != c5.simulated_latency
+
+
+class TestNoHiddenState:
+    def test_clear_plan_caches_forces_full_recompute(self, monkeypatch):
+        """Every memo of a tiling selection lives in a registered
+        ``PlanCache``: once those are cleared, a table rebuild evaluates
+        the same candidate rows as the first cold build."""
+        import repro.perfmodel.tiling as tiling
+
+        rows = []
+        real = tiling.comp_latency_batch
+
+        def counting(shape, device, th, tw, tc):
+            rows.append(len(th))
+            return real(shape, device, th, tw, tc)
+
+        monkeypatch.setattr(tiling, "comp_latency_batch", counting)
+        clear_plan_caches()
+        first = build_performance_table(128, 96, 14, 14, A100)
+        cold_rows = sum(rows)
+        assert cold_rows > 0
+
+        rows.clear()
+        build_performance_table(128, 96, 14, 14, A100)
+        assert sum(rows) == 0  # served by the table cache
+
+        clear_plan_caches()
+        assert len(tiling_cache()) == 0
+        assert len(table_cache()) == 0
+        again = build_performance_table(128, 96, 14, 14, A100)
+        assert sum(rows) == cold_rows
+        assert again.entries == first.entries
