@@ -3,7 +3,8 @@
 For every preset (model, device) pair the decomposed model is compiled
 three times — twice serial (``threads=1``, independently, to bound
 measurement noise) and once parallel (``threads=4``) — and measured at
-batch 1 (the row-block axis) and batch 16 (the batch-shard axis).
+batch 1 (a single shard, which runs on lane 0 with no pool fan-out) and
+batch 16 (the batch-shard axis).
 
 Gates, all enforced with a non-zero exit:
 

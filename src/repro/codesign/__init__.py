@@ -12,19 +12,14 @@ from repro.codesign.flops import (
     achieved_reduction,
     conv_flops,
     conv_params,
-    cp_flops,
-    cp_params,
     flops_reduction_ratio,
     param_reduction_ratio,
-    tt_flops,
-    tt_params,
     tucker_flops,
     tucker_params,
 )
 from repro.codesign.format_search import (
     FormatCandidate,
     best_format_under_budget,
-    clear_candidate_cache,
     layer_format_candidates,
 )
 from repro.codesign.pipeline import (
@@ -60,17 +55,12 @@ __all__ = [
     "achieved_reduction",
     "conv_flops",
     "conv_params",
-    "cp_flops",
-    "cp_params",
     "flops_reduction_ratio",
     "param_reduction_ratio",
-    "tt_flops",
-    "tt_params",
     "tucker_flops",
     "tucker_params",
     "FormatCandidate",
     "best_format_under_budget",
-    "clear_candidate_cache",
     "layer_format_candidates",
     "TDCPipelineResult",
     "decompose_for_device",

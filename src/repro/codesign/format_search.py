@@ -1,15 +1,17 @@
 """Format x rank candidate enumeration for Algorithm 1.
 
-Generalizes the per-layer performance table: instead of only Tucker's
-``(D1, D2)`` grid, every registered decomposition format contributes
-its rank candidates, each costed as the sum of its kernel chain's
-analytical latencies on the target device:
+Generalizes the per-layer performance table: every requested
+decomposition format contributes its rank candidates, each costed as
+the sum of its kernel chain's analytical latencies on the target
+device.  The chain comes from the format's
+:meth:`~repro.tensor.formats.DecompFormat.chain` geometry:
 
-- ``tucker``: 1x1 + TDC core (tiling-selected) + 1x1 — taken straight
-  from :func:`repro.codesign.table.build_performance_table`, so the
-  numbers (and the memoized cache) are identical to the legacy path;
-- ``cp``: 1x1 + depthwise + 1x1;
-- ``tt``: 1x1 + depthwise + group-sum (memory-bound) + 1x1.
+- a dense-core chain (Tucker: 1x1 + TDC core + 1x1) is a row of
+  :func:`repro.codesign.table.build_performance_table`, read in place,
+  so the core tilings and the persistent table cache are shared with
+  every other table consumer;
+- a depthwise chain (CP, TT) is 1x1 + depthwise [+ group-sum] + 1x1,
+  priced by one builder for every such format.
 
 All stage latencies are evaluated at the layer's core-conv extent
 (``LayerShape.h/w`` = output resolution), matching the Tucker-table
@@ -19,153 +21,90 @@ convention.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.backends import get_backend
-from repro.codesign.flops import cp_flops, cp_params, tt_flops, tt_params, tucker_params
-from repro.codesign.rank_selection import LayerShape
 from repro.codesign.table import build_performance_table
 from repro.gpusim.device import DeviceSpec
-from repro.kernels.base import FLOAT_BYTES, ConvShape
-from repro.kernels.depthwise import DepthwiseConvKernel
-from repro.kernels.pointwise import memory_bound_op_latency, pointwise_latency
-from repro.kernels.tdc_direct import Tiling
-from repro.tensor.formats import get_format, resolve_formats
+from repro.kernels.base import ConvShape
+from repro.kernels.depthwise import depthwise_latency
+from repro.kernels.pointwise import pointwise_latency
+from repro.planning.cache import PlanCache
+from repro.tensor.formats import DecompFormat, get_format, resolve_formats
+
+if TYPE_CHECKING:  # rank_selection imports this module
+    from repro.codesign.rank_selection import LayerShape
 
 
 @dataclass(frozen=True)
 class FormatCandidate:
-    """One (format, ranks) point in the generalized performance table."""
+    """One (format, ranks) point in the generalized performance table.
+
+    Dense-core (Tucker) points are the table's
+    :class:`~repro.codesign.table.TableEntry` rows, which carry the same
+    fields.
+    """
 
     format: str
     ranks: Tuple[int, ...]
     pw1_latency: float       # 1x1 input projection
-    core_latency: float      # middle stage (core conv / depthwise [+ group-sum])
+    core_latency: float      # middle stage (depthwise [+ group-sum])
     pw2_latency: float       # 1x1 output projection
     flops: int
     params: int
-    tiling: Optional[Tiling] = None   # Tucker core tiling, None otherwise
 
     @property
     def total_latency(self) -> float:
         return self.pw1_latency + self.core_latency + self.pw2_latency
 
 
-# (format, shape tuple, device fingerprint, rank_step, method) -> candidates.
-# The Tucker rows additionally hit the persistent table cache; CP/TT rows
-# are cheap to build but planning sweeps revisit the same shapes a lot.
-_CANDIDATE_CACHE: Dict[tuple, List[FormatCandidate]] = {}
+# (format, shape, device fingerprint, rank_step) -> depthwise-chain
+# candidates.  Memory-only and registered, so clear_plan_caches() makes
+# a cold start cold and ``repro cache stats`` counts it.
+_CANDIDATE_CACHE = PlanCache("format_candidates", maxsize=4096)
 
 
-def _depthwise_latency(
-    channels: int, h: int, w: int, r: int, s: int, device: DeviceSpec
-) -> float:
-    shape = ConvShape(c=channels, n=channels, h=h, w=w, r=r, s=s)
-    return DepthwiseConvKernel().latency(shape, device)
-
-
-def _tucker_candidates(
-    layer: LayerShape, device: DeviceSpec, rank_step: int, method: str
+def _depthwise_candidates(
+    fmt: DecompFormat, layer: "LayerShape", device: DeviceSpec, rank_step: int
 ) -> List[FormatCandidate]:
-    table = build_performance_table(
-        layer.c, layer.n, layer.h, layer.w, device,
-        r=layer.r, s=layer.s, rank_step=rank_step, method=method,
-    )
-    return [
-        FormatCandidate(
-            format="tucker",
-            ranks=(e.d1, e.d2),
-            pw1_latency=e.pw1_latency,
-            core_latency=e.core_latency,
-            pw2_latency=e.pw2_latency,
-            flops=e.flops,
-            params=tucker_params(
-                layer.c, layer.n, e.d1, e.d2, layer.r, layer.s
-            ),
-            tiling=e.tiling,
-        )
-        for e in table.entries
-    ]
-
-
-def _cp_candidates(
-    layer: LayerShape, device: DeviceSpec, rank_step: int
-) -> List[FormatCandidate]:
-    fmt = get_format("cp")
+    """Depthwise chains; stage latencies are memoized per width since
+    many rank tuples share them."""
+    pw1: Dict[int, float] = {}
+    mid: Dict[Tuple[int, Optional[int]], float] = {}
+    pw2: Dict[int, float] = {}
     out: List[FormatCandidate] = []
-    pw1_memo: Dict[int, float] = {}
     for ranks in fmt.rank_candidates(layer.c, layer.n, layer.r, layer.s, rank_step):
-        (q,) = ranks
-        if q not in pw1_memo:
-            pw1_memo[q] = pointwise_latency(layer.c, q, layer.h, layer.w, device)
-        out.append(
-            FormatCandidate(
-                format="cp",
-                ranks=ranks,
-                pw1_latency=pw1_memo[q],
-                core_latency=_depthwise_latency(
-                    q, layer.h, layer.w, layer.r, layer.s, device
-                ),
-                pw2_latency=pointwise_latency(
-                    q, layer.n, layer.h, layer.w, device
-                ),
-                flops=cp_flops(
-                    layer.c, layer.n, layer.h, layer.w, q, layer.r, layer.s
-                ),
-                params=cp_params(layer.c, layer.n, q, layer.r, layer.s),
+        chain = fmt.chain(ranks)
+        width, collapse = chain.pw1_out, chain.collapse_to
+        if width not in pw1:
+            pw1[width] = pointwise_latency(layer.c, width, layer.h, layer.w, device)
+        if (width, collapse) not in mid:
+            mid[(width, collapse)] = depthwise_latency(
+                width, layer.h, layer.w, layer.r, layer.s, device,
+                collapse_to=collapse,
             )
-        )
-    return out
-
-
-def _tt_candidates(
-    layer: LayerShape, device: DeviceSpec, rank_step: int
-) -> List[FormatCandidate]:
-    fmt = get_format("tt")
-    out: List[FormatCandidate] = []
-    pw1_memo: Dict[int, float] = {}
-    mid_memo: Dict[Tuple[int, int], float] = {}
-    pw2_memo: Dict[int, float] = {}
-    map_bytes = layer.h * layer.w * FLOAT_BYTES
-    for ranks in fmt.rank_candidates(layer.c, layer.n, layer.r, layer.s, rank_step):
-        r1, r2 = ranks
-        q = r1 * r2
-        if q not in pw1_memo:
-            pw1_memo[q] = pointwise_latency(layer.c, q, layer.h, layer.w, device)
-        if (q, r2) not in mid_memo:
-            mid = _depthwise_latency(
-                q, layer.h, layer.w, layer.r, layer.s, device
-            )
-            if r2 > 1:
-                # Group-sum r1*r2 -> r1: reads the full depthwise output,
-                # writes the collapsed map.
-                mid += memory_bound_op_latency(
-                    q * map_bytes, (q // r2) * map_bytes, device
-                )
-            mid_memo[(q, r2)] = mid
-        if r1 not in pw2_memo:
-            pw2_memo[r1] = pointwise_latency(
-                r1, layer.n, layer.h, layer.w, device
+        if chain.pw2_in not in pw2:
+            pw2[chain.pw2_in] = pointwise_latency(
+                chain.pw2_in, layer.n, layer.h, layer.w, device
             )
         out.append(
             FormatCandidate(
-                format="tt",
+                format=fmt.name,
                 ranks=ranks,
-                pw1_latency=pw1_memo[q],
-                core_latency=mid_memo[(q, r2)],
-                pw2_latency=pw2_memo[r1],
-                flops=tt_flops(
-                    layer.c, layer.n, layer.h, layer.w, r1, r2,
-                    layer.r, layer.s,
+                pw1_latency=pw1[width],
+                core_latency=mid[(width, collapse)],
+                pw2_latency=pw2[chain.pw2_in],
+                flops=fmt.flops(
+                    layer.c, layer.n, layer.h, layer.w, ranks, layer.r, layer.s
                 ),
-                params=tt_params(layer.c, layer.n, r1, r2, layer.r, layer.s),
+                params=fmt.n_params(layer.c, layer.n, layer.r, layer.s, ranks),
             )
         )
     return out
 
 
 def layer_format_candidates(
-    layer: LayerShape,
+    layer: "LayerShape",
     device: DeviceSpec,
     formats: Sequence[str],
     rank_step: int = 32,
@@ -174,44 +113,37 @@ def layer_format_candidates(
     """All (format, ranks) candidates for one layer, plus the dense
     layer's cuDNN latency for the θ rule.
 
-    ``formats`` must already be resolved names (see
-    :func:`repro.tensor.formats.resolve_formats`).  Candidate lists are
-    memoized per (format, shape, device, step, method).
+    ``formats`` is anything :func:`repro.tensor.formats.resolve_formats`
+    accepts.  Depthwise-chain lists are memoized per (format, shape,
+    device, step) in a registered :class:`~repro.planning.cache.PlanCache`;
+    dense-core rows come from the (cached) performance table T.
     """
-    formats = resolve_formats(formats)
     shape_key = (layer.c, layer.n, layer.h, layer.w, layer.r, layer.s)
     fingerprint = device.fingerprint()
 
     candidates: List[FormatCandidate] = []
-    for name in formats:
-        key = (name, shape_key, fingerprint, rank_step, method)
+    for name in resolve_formats(formats):
+        fmt = get_format(name)
+        if not fmt.depthwise:
+            # Dense-core rows are the performance table's own entries,
+            # memoized by the table cache.
+            candidates.extend(build_performance_table(
+                layer.c, layer.n, layer.h, layer.w, device,
+                r=layer.r, s=layer.s, rank_step=rank_step, method=method,
+            ).entries)
+            continue
+        key = (name, shape_key, fingerprint, rank_step)
         cached = _CANDIDATE_CACHE.get(key)
         if cached is None:
-            if name == "tucker":
-                cached = _tucker_candidates(layer, device, rank_step, method)
-            elif name == "cp":
-                cached = _cp_candidates(layer, device, rank_step)
-            elif name == "tt":
-                cached = _tt_candidates(layer, device, rank_step)
-            else:
-                raise ValueError(
-                    f"format {name!r} is registered but has no analytical "
-                    f"cost model in layer_format_candidates"
-                )
-            _CANDIDATE_CACHE[key] = cached
+            cached = _CANDIDATE_CACHE.put(
+                key, _depthwise_candidates(fmt, layer, device, rank_step)
+            )
         candidates.extend(cached)
 
-    if "tucker" in formats:
-        # The table memoizes the dense baseline; reuse it.
-        original = build_performance_table(
-            layer.c, layer.n, layer.h, layer.w, device,
-            r=layer.r, s=layer.s, rank_step=rank_step, method=method,
-        ).original_latency
-    else:
-        dense_shape = ConvShape(
-            c=layer.c, n=layer.n, h=layer.h, w=layer.w, r=layer.r, s=layer.s
-        )
-        original = get_backend("cudnn").core_latency(dense_shape, device)
+    dense_shape = ConvShape(
+        c=layer.c, n=layer.n, h=layer.h, w=layer.w, r=layer.r, s=layer.s
+    )
+    original = get_backend("cudnn").core_latency(dense_shape, device)
     return original, candidates
 
 
@@ -220,36 +152,34 @@ def best_format_under_budget(
     max_flops: float,
     latency_tolerance: float = 0.12,
 ) -> Optional[FormatCandidate]:
-    """Alg. 1 line 3 across formats: each format resolves its latency
-    plateau toward the most parameters, then the formats' resolved
-    picks compete on latency alone.
+    """Alg. 1 line 3: ``max{argmin_{P(ranks)<=B} T(ranks)}`` per format,
+    then the formats' picks compete on latency alone.
 
-    Parameter count is the per-format analog of "largest ranks":
-    within one format's latency plateau, more retained parameters
-    preserve more accuracy.  The *cross-format* comparison is strict
-    min-latency over those accuracy-resolved picks — this keeps the
-    mixed-format search dominant: per site it returns exactly the
-    fastest of the single-format-restricted choices, so a mixed plan
-    can never be slower than the best single-format plan under the
-    same budget shares.
+    The latency staircase (Fig. 4) makes many rank tuples share the
+    same effective latency, so each format's argmin set is the plateau
+    of feasible candidates within ``latency_tolerance`` of its fastest.
+    The format resolves its own plateau with
+    :meth:`~repro.tensor.formats.DecompFormat.plateau_key`: Tucker
+    prefers balanced then largest ranks, CP/TT the most retained
+    parameters.  The cross-format comparison is strict min-latency
+    (ties toward more parameters) over those picks, so per site the
+    mixed search returns exactly the fastest single-format choice and
+    a mixed plan is never slower than the best single-format plan
+    under the same budget shares.  Returns ``None`` when no candidate
+    meets ``max_flops``.
     """
-    feasible = [c for c in candidates if c.flops <= max_flops]
-    if not feasible:
-        return None
     per_format: Dict[str, List[FormatCandidate]] = {}
-    for c in feasible:
-        per_format.setdefault(c.format, []).append(c)
+    for c in candidates:
+        if c.flops <= max_flops:
+            per_format.setdefault(c.format, []).append(c)
+    if not per_format:
+        return None
     picks = []
-    for group in per_format.values():
+    for name, group in per_format.items():
         fastest = min(c.total_latency for c in group)
         plateau = [
             c for c in group
             if c.total_latency <= fastest * (1.0 + latency_tolerance)
         ]
-        picks.append(max(plateau, key=lambda c: (c.params, -c.total_latency)))
+        picks.append(max(plateau, key=get_format(name).plateau_key))
     return min(picks, key=lambda c: (c.total_latency, -c.params))
-
-
-def clear_candidate_cache() -> None:
-    """Drop memoized candidate lists (used by tests/benchmarks)."""
-    _CANDIDATE_CACHE.clear()

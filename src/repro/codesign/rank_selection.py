@@ -1,15 +1,18 @@
-"""Hardware-aware Tucker rank selection (Sec. 6, Algorithm 1).
+"""Hardware-aware rank selection (Sec. 6, Algorithm 1).
 
 Given the decomposable conv layers of a model, a FLOPs-reduction
-budget ``B``, and a device, this module chooses per-layer ranks
-``(D1, D2)``:
+budget ``B``, and a device, this module chooses per-layer ranks — the
+paper's Tucker ``(D1, D2)``, or a (format, ranks) pair when the search
+is widened to CP/TT:
 
-1. Build (or fetch) the performance table T for the layer shape.
-2. Among rank candidates whose Tucker FLOPs satisfy the layer's share
-   of the budget, pick the minimum-latency entry, tie-broken toward
-   the *largest* ranks (Alg. 1 line 3: maximize ranks while minimizing
-   latency under the budget — larger ranks preserve accuracy).
-3. θ-threshold rule: if the best Tucker latency ``t1`` is not at least
+1. Fetch every requested format's rank candidates for the layer shape
+   (Tucker's come from the performance table T).
+2. Among candidates whose FLOPs satisfy the layer's share of the
+   budget, each format picks from its minimum-latency plateau by its
+   own rule (Alg. 1 line 3: maximize ranks while minimizing latency
+   under the budget — larger ranks preserve accuracy); the fastest
+   format pick wins.
+3. θ-threshold rule: if the best latency ``t1`` is not at least
    θ (=15%) faster than the original layer's latency ``t2``, leave the
    layer dense — two extra 1x1 launches are not worth it — and
    redistribute its planned FLOPs reduction to the remaining layers.
@@ -17,11 +20,14 @@ budget ``B``, and a device, this module chooses per-layer ranks
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from repro.codesign.flops import achieved_reduction
-from repro.codesign.table import PerformanceTable, build_performance_table
+from repro.codesign.format_search import (
+    best_format_under_budget,
+    layer_format_candidates,
+)
 from repro.gpusim.device import DeviceSpec
 from repro.utils.validation import check_positive_int
 
@@ -144,8 +150,8 @@ def select_ranks(
     Algorithm 1, the default) to any set of registered decomposition
     formats — pass ``("tucker", "cp", "tt")``, ``"all"``, or ``"auto"``
     and each layer picks the (format, ranks) pair that wins on latency
-    under its FLOPs share.  The default Tucker-only path is numerically
-    identical to the legacy selector.
+    under its FLOPs share.  Every format runs through the same loop;
+    only the plateau rule (:meth:`DecompFormat.plateau_key`) differs.
     """
     if not layers:
         raise ValueError("select_ranks needs at least one layer")
@@ -160,16 +166,6 @@ def select_ranks(
     # Documented budget-floor clamp: the per-layer cap can never be
     # tighter than the global budget itself.
     max_layer_reduction = max(max_layer_reduction, budget)
-
-    from repro.tensor.formats import resolve_formats
-
-    formats = resolve_formats(formats)
-    if formats != ("tucker",):
-        return _select_ranks_multiformat(
-            layers, device, budget=budget, theta=theta,
-            rank_step=rank_step, method=method,
-            max_layer_reduction=max_layer_reduction, formats=formats,
-        )
 
     flops_list = [
         2 * l.h * l.w * l.c * l.n * l.r * l.s for l in layers
@@ -187,17 +183,15 @@ def select_ranks(
         target_reduction = min(
             budget * dense + carried, max_layer_reduction * dense
         )
-        max_tucker = dense - target_reduction
+        max_compressed = dense - target_reduction
 
-        table = build_performance_table(
-            layer.c, layer.n, layer.h, layer.w, device,
-            r=layer.r, s=layer.s, rank_step=rank_step, method=method,
+        t2, candidates = layer_format_candidates(
+            layer, device, formats, rank_step=rank_step, method=method
         )
-        if not table.entries:
+        if not candidates:
             # An extent-1 mode has no rank below the original extent:
             # "compressing" would add two 1x1 launches for zero
             # reduction.  Leave dense, carry the planned reduction on.
-            t2 = table.original_latency
             decisions.append(
                 RankDecision(
                     layer=layer, d1=None, d2=None,
@@ -208,21 +202,22 @@ def select_ranks(
             )
             extra_budget += target_reduction
             continue
-        entry = table.best_under_budget(max_tucker)
-        if entry is None:
+        chosen = best_format_under_budget(candidates, max_compressed)
+        if chosen is None:
             # The inflated target is unreachable: retry with the
             # layer's own base share before giving up on the budget.
-            entry = table.best_under_budget(dense * (1.0 - budget))
-            reason = "selected" if entry is not None else "no_candidate"
-            if entry is None:
-                entry = min(
-                    table.entries, key=lambda e: (e.flops, e.total_latency)
+            chosen = best_format_under_budget(
+                candidates, dense * (1.0 - budget)
+            )
+            reason = "selected" if chosen is not None else "no_candidate"
+            if chosen is None:
+                chosen = min(
+                    candidates, key=lambda c: (c.flops, c.total_latency)
                 )
         else:
             reason = "selected"
 
-        t1 = entry.total_latency
-        t2 = table.original_latency
+        t1 = chosen.total_latency
         if t1 >= (1.0 - theta) * t2:
             # θ rule: not enough latency benefit -> leave dense, carry
             # the planned reduction to the remaining layers.
@@ -236,110 +231,7 @@ def select_ranks(
             )
             extra_budget += target_reduction
         else:
-            decisions.append(
-                RankDecision(
-                    layer=layer, d1=entry.d1, d2=entry.d2,
-                    tucker_latency=t1, original_latency=t2,
-                    dense_flops=dense, compressed_flops=entry.flops,
-                    reason=reason,
-                    format="tucker", ranks=(entry.d1, entry.d2),
-                )
-            )
-            achieved = dense - entry.flops
-            # Reduce the carried pool by whatever this layer delivered
-            # beyond its own base share.
-            surplus = achieved - budget * dense
-            extra_budget = max(0.0, extra_budget - max(0.0, surplus))
-
-    return RankPlan(
-        decisions=decisions, budget=budget, theta=theta,
-        device_name=device.name,
-    )
-
-
-def _select_ranks_multiformat(
-    layers: Sequence[LayerShape],
-    device: DeviceSpec,
-    budget: float,
-    theta: float,
-    rank_step: int,
-    method: str,
-    max_layer_reduction: float,
-    formats: Tuple[str, ...],
-) -> RankPlan:
-    """Algorithm 1 with the format axis widened beyond Tucker.
-
-    Same budget / θ / carried-reduction structure as the legacy body;
-    the per-layer argmin runs over every format's rank candidates, and
-    latency plateaus resolve toward the most retained parameters (the
-    cross-format analog of "largest ranks").
-    """
-    # Deferred import: format_search imports LayerShape from here.
-    from repro.codesign.format_search import (
-        best_format_under_budget,
-        layer_format_candidates,
-    )
-
-    flops_list = [
-        2 * l.h * l.w * l.c * l.n * l.r * l.s for l in layers
-    ]
-    decisions: List[RankDecision] = []
-    extra_budget = 0.0
-
-    for i, layer in enumerate(layers):
-        dense = flops_list[i]
-        remaining = sum(flops_list[i:])
-        carried = extra_budget * dense / remaining if remaining else 0.0
-        target_reduction = min(
-            budget * dense + carried, max_layer_reduction * dense
-        )
-        max_compressed = dense - target_reduction
-
-        original, candidates = layer_format_candidates(
-            layer, device, formats, rank_step=rank_step, method=method
-        )
-        if not candidates:
-            t2 = original
-            decisions.append(
-                RankDecision(
-                    layer=layer, d1=None, d2=None,
-                    tucker_latency=t2, original_latency=t2,
-                    dense_flops=dense, compressed_flops=dense,
-                    reason="not_decomposable",
-                )
-            )
-            extra_budget += target_reduction
-            continue
-
-        chosen = best_format_under_budget(candidates, max_compressed)
-        if chosen is None:
-            chosen = best_format_under_budget(
-                candidates, dense * (1.0 - budget)
-            )
-            reason = "selected" if chosen is not None else "no_candidate"
-            if chosen is None:
-                chosen = min(
-                    candidates, key=lambda c: (c.flops, c.total_latency)
-                )
-        else:
-            reason = "selected"
-
-        t1 = chosen.total_latency
-        t2 = original
-        if t1 >= (1.0 - theta) * t2:
-            decisions.append(
-                RankDecision(
-                    layer=layer, d1=None, d2=None,
-                    tucker_latency=t2, original_latency=t2,
-                    dense_flops=dense, compressed_flops=dense,
-                    reason="theta_skip",
-                )
-            )
-            extra_budget += target_reduction
-        else:
-            d1 = d2 = None
-            if chosen.format == "tucker":
-                d1, d2 = chosen.ranks
+            d1, d2 = chosen.ranks if chosen.format == "tucker" else (None, None)
             decisions.append(
                 RankDecision(
                     layer=layer, d1=d1, d2=d2,
@@ -350,6 +242,8 @@ def _select_ranks_multiformat(
                 )
             )
             achieved = dense - chosen.flops
+            # Reduce the carried pool by whatever this layer delivered
+            # beyond its own base share.
             surplus = achieved - budget * dense
             extra_budget = max(0.0, extra_budget - max(0.0, surplus))
 
@@ -357,3 +251,4 @@ def _select_ranks_multiformat(
         decisions=decisions, budget=budget, theta=theta,
         device_name=device.name,
     )
+

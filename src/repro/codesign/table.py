@@ -20,10 +20,10 @@ warm tables optionally persist to disk between runs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import ClassVar, Dict, List, Optional, Sequence, Tuple
 
 from repro.backends import get_backend
-from repro.codesign.flops import conv_flops, tucker_flops
+from repro.codesign.flops import conv_flops, tucker_flops, tucker_params
 from repro.gpusim.device import DeviceSpec
 from repro.kernels.base import ConvShape
 from repro.kernels.pointwise import pointwise_latency
@@ -31,12 +31,18 @@ from repro.kernels.tdc_direct import TDCDirectKernel, Tiling
 from repro.perfmodel.tiling import select_tiling, select_tilings
 from repro.planning.cache import PlanCache
 from repro.planning.pool import map_maybe_parallel
-from repro.utils.validation import check_positive_int
+from repro.tensor.formats import mode_rank_candidates as rank_candidates
 
 
 @dataclass(frozen=True)
 class TableEntry:
-    """One (D1, D2) candidate in the performance table."""
+    """One (D1, D2) candidate in the performance table.
+
+    It carries the fields of a
+    :class:`~repro.codesign.format_search.FormatCandidate` (``format``,
+    ``ranks``, ``params``), so Algorithm 1's format search reads the
+    table's rows as its Tucker candidates without copying them.
+    """
 
     d1: int                  # core conv input channels (rank of C mode)
     d2: int                  # core conv output channels (rank of N mode)
@@ -45,6 +51,13 @@ class TableEntry:
     pw2_latency: float       # 1x1 D2 -> N
     tiling: Tiling
     flops: int               # Tucker layer FLOPs
+    params: int              # Tucker layer parameters
+
+    format: ClassVar[str] = "tucker"
+
+    @property
+    def ranks(self) -> Tuple[int, int]:
+        return (self.d1, self.d2)
 
     @property
     def total_latency(self) -> float:
@@ -98,53 +111,6 @@ class PerformanceTable:
         """Entries meeting a FLOPs ceiling (the budget constraint)."""
         return [e for e in self.entries if e.flops <= max_flops]
 
-    def best_under_budget(
-        self, max_flops: float, latency_tolerance: float = 0.12
-    ) -> Optional[TableEntry]:
-        """Alg. 1 line 3: ``max{argmin_{P(D1,D2)<=B} T(D1,D2)}``.
-
-        The latency staircase (Fig. 4) makes many rank pairs share the
-        same effective latency; the paper resolves the argmin set by
-        taking the *largest* ranks in it (bigger ranks cost nothing in
-        time but preserve accuracy).  Simulated latencies inside one
-        staircase step differ by small second-order terms, so the
-        argmin set is formed by grouping latencies within
-        ``latency_tolerance`` of the minimum.
-        """
-        feasible = self.candidates_within(max_flops)
-        if not feasible:
-            return None
-        best_latency = min(e.total_latency for e in feasible)
-        plateau = [
-            e for e in feasible
-            if e.total_latency <= best_latency * (1.0 + latency_tolerance)
-        ]
-        # Within the plateau prefer *balanced* rank pairs first (a tiny
-        # D1 or D2 bottlenecks the whole layer's information flow and
-        # is what "over rank reduction" looks like in practice), then
-        # the largest total rank.
-        return max(
-            plateau,
-            key=lambda e: (min(e.d1, e.d2), e.d1 + e.d2, -e.total_latency),
-        )
-
-
-def rank_candidates(extent: int, step: int) -> List[int]:
-    """Rank grid for one mode: multiples of ``step`` strictly below the
-    original extent (reducing by ``step`` at a time, Sec. 6), with an
-    ``extent // 2`` floor candidate for slim models.
-
-    An extent of 1 yields an *empty* grid: the only "rank" would be 1,
-    i.e. the original extent — zero reduction plus two extra 1x1
-    launches — so such a mode is not decomposable at all.
-    """
-    step = check_positive_int("step", step)
-    extent = check_positive_int("extent", extent)
-    cands = [d for d in range(step, extent, step)]
-    if not cands and extent > 1:
-        cands = [max(1, extent // 2)]
-    return cands
-
 
 def _encode_table(table: PerformanceTable) -> dict:
     return {
@@ -181,6 +147,7 @@ def _decode_table(doc: dict) -> PerformanceTable:
             pw2_latency=float(e["pw2_latency"]),
             tiling=Tiling(*(int(x) for x in e["tiling"])),
             flops=int(e["flops"]),
+            params=tucker_params(c, n, int(e["d1"]), int(e["d2"]), r, s),
         )
         for e in doc["entries"]
     ]
@@ -252,6 +219,7 @@ def _grid_entries(
                 pw2_latency=pw2[d2],
                 tiling=choice.tiling,
                 flops=tucker_flops(c, n, h, w, d1, d2, r, s),
+                params=tucker_params(c, n, d1, d2, r, s),
             )
         )
     return entries

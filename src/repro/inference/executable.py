@@ -58,15 +58,13 @@ from repro.models.introspection import (
     trace_layer_sites,
 )
 from repro.nn.conv import Conv2d
-from repro.nn.cp_conv import CPConv2d
 from repro.nn.functional import conv_out_size
 from repro.nn.module import Module
-from repro.nn.tt_conv import TTConv2d
-from repro.nn.tucker_conv import TuckerConv2d
 from repro.perfmodel.parallel import should_parallelize
 from repro.runtime.engine import SiteParallel
 from repro.runtime.pool import get_pool, resolve_threads
 from repro.runtime.prepared import prepare_tdc_runner
+from repro.tensor.formats import get_format
 
 #: Plan kernel kinds that bind to a model conv site.
 _CONV_KINDS = ("conv", "pointwise", "core", "dwcore")
@@ -141,25 +139,20 @@ def _adopt_scratch(
 
 def _chain_weights(site: LayerSite, dtype: np.dtype):
     """One factored site's chain: ``(weights, mid_weight, mid_in,
-    mid_out, collapse_to)``.
+    mid_out, collapse_to)``, widths from the format's
+    :meth:`~repro.tensor.formats.DecompFormat.chain` (a dense site
+    raises: ``"dense"`` is no registered format).
 
     The middle stage is the ``(D2, D1, R, S)`` dense core for Tucker and
     the ``(M, R, S)`` depthwise filter for CP/TT; TT collapses its
     ``r1*r2`` middle channels to ``collapse_to = r1`` before pw2.
     """
     mod = site.module
+    fmt = get_format(site.format)
+    chain = fmt.chain(mod.ranks)
     weights = mod.export_weights(dtype=dtype)
-    if isinstance(mod, TuckerConv2d):
-        return weights, weights["core"], mod.rank_in, mod.rank_out, None
-    if isinstance(mod, CPConv2d):
-        return weights, weights["dw"], mod.rank, mod.rank, None
-    if isinstance(mod, TTConv2d):
-        mid = mod.rank1 * mod.rank2
-        return weights, weights["dw"], mid, mid, mod.rank1
-    raise ValueError(
-        f"site {site.name!r} (format {site.format!r}) is not a factored "
-        f"conv chain"
-    )
+    mid_weight = weights["dw" if fmt.depthwise else "core"]
+    return weights, mid_weight, chain.pw1_out, chain.mid_out, chain.collapse_to
 
 
 class _CompiledSite(Module):

@@ -15,7 +15,7 @@ bound directly by the planner/compiler for ``dwcore`` plan entries.
 from __future__ import annotations
 
 from math import ceil
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -27,6 +27,7 @@ from repro.kernels.base import (
     ConvShape,
     execution_dtype,
 )
+from repro.kernels.pointwise import memory_bound_op_latency
 
 
 class DepthwiseConvKernel(ConvKernel):
@@ -128,11 +129,18 @@ class DepthwiseConvKernel(ConvKernel):
 
 
 def depthwise_latency(
-    channels: int, h: int, w: int, kernel: int, device: DeviceSpec,
-    include_launch_overhead: bool = True,
+    channels: int, h: int, w: int, r: int, s: int, device: DeviceSpec,
+    collapse_to: Optional[int] = None,
 ) -> float:
-    """Latency of a depthwise KxK conv over ``channels`` on an HxW map."""
-    shape = ConvShape(c=channels, n=channels, h=h, w=w, r=kernel, s=kernel)
-    return DepthwiseConvKernel().latency(
-        shape, device, include_launch_overhead=include_launch_overhead
-    )
+    """Latency of a CP/TT middle stage: a depthwise RxS conv over
+    ``channels`` on an HxW map, plus (for TT) the memory-bound
+    group-sum collapsing ``channels -> collapse_to`` — it reads the
+    full depthwise output and writes the collapsed map."""
+    shape = ConvShape(c=channels, n=channels, h=h, w=w, r=r, s=s)
+    lat = DepthwiseConvKernel().latency(shape, device)
+    if collapse_to is not None and collapse_to < channels:
+        map_bytes = h * w * FLOAT_BYTES
+        lat += memory_bound_op_latency(
+            channels * map_bytes, collapse_to * map_bytes, device
+        )
+    return lat

@@ -109,6 +109,12 @@ class CPConv2d(Module):
             layer.bias.data[...] = conv.bias.data
         return layer
 
+    @property
+    def ranks(self) -> Tuple[int, ...]:
+        """The format's rank tuple (q,), as in
+        :meth:`repro.tensor.formats.DecompFormat.chain`."""
+        return (self.rank,)
+
     # -- shape/cost helpers ---------------------------------------------
     def output_shape(self, h: int, w: int) -> Tuple[int, int]:
         return (

@@ -120,6 +120,12 @@ class TTConv2d(Module):
             layer.bias.data[...] = conv.bias.data
         return layer
 
+    @property
+    def ranks(self) -> Tuple[int, ...]:
+        """The format's rank tuple (r1, r2), as in
+        :meth:`repro.tensor.formats.DecompFormat.chain`."""
+        return (self.rank1, self.rank2)
+
     # -- shape/cost helpers ---------------------------------------------
     def output_shape(self, h: int, w: int) -> Tuple[int, int]:
         return (

@@ -120,6 +120,12 @@ class TuckerConv2d(Module):
             layer.bias.data[...] = conv.bias.data
         return layer
 
+    @property
+    def ranks(self) -> Tuple[int, ...]:
+        """The format's rank tuple (d1, d2) = (rank_in, rank_out), as in
+        :meth:`repro.tensor.formats.DecompFormat.chain`."""
+        return (self.rank_in, self.rank_out)
+
     # -- shape/cost helpers ---------------------------------------------
     def output_shape(self, h: int, w: int) -> Tuple[int, int]:
         return (

@@ -10,26 +10,36 @@ conv representation without knowing its math:
   algebra, implemented by the existing Tucker/CP/TT code;
 - ``n_params`` / ``flops`` — the analytical cost model of the factored
   conv chain (2 FLOPs per MAC, matching :mod:`repro.codesign.flops`);
-- ``rank_candidates`` — the per-layer rank grid Algorithm 1 sweeps.
+- ``rank_candidates`` — the per-layer rank grid Algorithm 1 sweeps;
+- ``depthwise`` and ``chain(ranks)`` — whether the middle stage is
+  depthwise or a dense core, and the :class:`ChainGeometry` (channel
+  widths) of the executed chain ``1x1 -> middle -> [group-sum ->] 1x1``;
+  candidate pricing, the planners and the compiler all read them;
+- ``plateau_key`` — how Algorithm 1 resolves this format's latency
+  plateau (Alg. 1 line 3's "largest ranks" for this format).
 
 Rank conventions per format (all passed as tuples):
 
 - ``tucker``: ``(d1, d2)`` — input-/output-channel Tucker-2 ranks;
-  chain 1x1 ``C->D1`` -> KxK core ``D1->D2`` -> 1x1 ``D2->N``.
+  chain 1x1 ``C->D1`` -> KxK dense core ``D1->D2`` -> 1x1 ``D2->N``.
 - ``cp``: ``(q,)`` — the shared CP rank; chain 1x1 ``C->Q`` ->
   depthwise KxK over ``Q`` -> 1x1 ``Q->N``.
 - ``tt``: ``(r1, r2)`` — the two internal TT ranks of the ``(N, C,
   R*S)`` reshaping; chain 1x1 ``C->r1*r2`` -> depthwise KxK ->
   group-sum ``r1*r2 -> r1`` -> 1x1 ``r1->N``.
 
-New formats (e.g. higher-order Tucker per HOTCAKE) plug in through
-:func:`register_format` and become visible to rank selection, planning,
-and serving without touching those layers.
+A new format (e.g. higher-order Tucker per HOTCAKE) with a depthwise
+middle stage plugs in through :func:`register_format` and becomes
+visible to rank selection, planning, and compilation without touching
+those layers.  A dense-core middle is priced through the performance
+table T, whose grid is Tucker's ``(D1, D2)``; a second dense-core
+format would need its own table.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -43,16 +53,36 @@ from repro.utils.validation import check_positive_int
 FACTORED_FORMATS = ("tucker", "cp", "tt")
 
 
-def _mode_rank_candidates(extent: int, step: int) -> List[int]:
+def mode_rank_candidates(extent: int, step: int) -> List[int]:
     """Rank grid for one mode: multiples of ``step`` strictly below the
-    extent, with an ``extent // 2`` floor for slim models (mirrors
-    :func:`repro.codesign.table.rank_candidates`)."""
+    original extent (reducing by ``step`` at a time, Sec. 6), with an
+    ``extent // 2`` floor candidate for slim models.
+
+    An extent of 1 yields an *empty* grid: the only "rank" would be 1,
+    i.e. the original extent — zero reduction plus two extra 1x1
+    launches — so such a mode is not decomposable at all.
+    """
     step = check_positive_int("step", step)
     extent = check_positive_int("extent", extent)
     cands = [d for d in range(step, extent, step)]
     if not cands and extent > 1:
         cands = [max(1, extent // 2)]
     return cands
+
+
+@dataclass(frozen=True)
+class ChainGeometry:
+    """Channel widths of one factored conv's executed kernel chain:
+    1x1 ``C -> pw1_out``, middle ``pw1_out -> mid_out``, an optional
+    group-sum ``mid_out -> collapse_to``, 1x1 ``pw2_in -> N``."""
+
+    pw1_out: int                        # pw1 width = middle input channels
+    mid_out: int                        # middle output channels
+    collapse_to: Optional[int] = None   # group-sum target before pw2 (TT)
+
+    @property
+    def pw2_in(self) -> int:
+        return self.mid_out if self.collapse_to is None else self.collapse_to
 
 
 class DecompFormat:
@@ -66,6 +96,9 @@ class DecompFormat:
     name = "base"
     #: Number of integers in a rank tuple for this format.
     rank_arity = 0
+    #: Whether the chain's middle stage is a depthwise conv over
+    #: ``pw1_out`` channels (``mid_out == pw1_out``) or a dense core.
+    depthwise = True
 
     # -- tensor math ----------------------------------------------------
     def factorize(self, weight: np.ndarray, ranks: Sequence[int]):
@@ -96,6 +129,18 @@ class DecompFormat:
         """Rank tuples Algorithm 1 should consider for one layer."""
         raise NotImplementedError
 
+    def chain(self, ranks: Sequence[int]) -> ChainGeometry:
+        """Channel widths of the executed kernel chain for ``ranks``."""
+        raise NotImplementedError
+
+    def plateau_key(self, candidate) -> tuple:
+        """Alg. 1 line 3 within this format: the maximal key wins among
+        candidates on one latency plateau.  The default prefers the
+        most retained parameters (the per-format analog of "largest
+        ranks"), then the lower latency.  ``candidate`` carries
+        ``ranks``, ``params`` and ``total_latency``."""
+        return (candidate.params, -candidate.total_latency)
+
     def check_ranks(self, ranks: Sequence[int]) -> Tuple[int, ...]:
         ranks = tuple(int(x) for x in ranks)
         if len(ranks) != self.rank_arity:
@@ -116,6 +161,7 @@ class TuckerFormat(DecompFormat):
 
     name = "tucker"
     rank_arity = 2
+    depthwise = False
 
     def __init__(self, n_iter: int = 10) -> None:
         self.n_iter = int(n_iter)
@@ -150,9 +196,21 @@ class TuckerFormat(DecompFormat):
     def rank_candidates(self, c, n, r, s, step) -> List[Tuple[int, ...]]:
         return [
             (d1, d2)
-            for d1 in _mode_rank_candidates(c, step)
-            for d2 in _mode_rank_candidates(n, step)
+            for d1 in mode_rank_candidates(c, step)
+            for d2 in mode_rank_candidates(n, step)
         ]
+
+    def chain(self, ranks) -> ChainGeometry:
+        d1, d2 = self.check_ranks(ranks)
+        return ChainGeometry(pw1_out=d1, mid_out=d2)
+
+    def plateau_key(self, candidate) -> tuple:
+        # Balanced rank pairs first (a tiny D1 or D2 bottlenecks the
+        # whole layer's information flow and is what "over rank
+        # reduction" looks like in practice), then the largest total
+        # rank, then the lower latency.
+        d1, d2 = candidate.ranks
+        return (min(d1, d2), d1 + d2, -candidate.total_latency)
 
 
 class CPFormat(DecompFormat):
@@ -190,7 +248,11 @@ class CPFormat(DecompFormat):
         # CP's rank is not bounded by a mode extent; sweep up to the
         # larger channel count (beyond that the chain stops compressing
         # in every regime the budget filter would accept anyway).
-        return [(q,) for q in _mode_rank_candidates(max(c, n), step)]
+        return [(q,) for q in mode_rank_candidates(max(c, n), step)]
+
+    def chain(self, ranks) -> ChainGeometry:
+        (q,) = self.check_ranks(ranks)
+        return ChainGeometry(pw1_out=q, mid_out=q)
 
 
 class TTFormat(DecompFormat):
@@ -241,9 +303,13 @@ class TTFormat(DecompFormat):
         # TT-SVD of (N, C, R*S) bounds r1 by N and r2 by min(r1*C, R*S).
         return [
             (r1, r2)
-            for r1 in _mode_rank_candidates(n, step)
+            for r1 in mode_rank_candidates(n, step)
             for r2 in range(1, min(r * s, r1 * c) + 1)
         ]
+
+    def chain(self, ranks) -> ChainGeometry:
+        r1, r2 = self.check_ranks(ranks)
+        return ChainGeometry(pw1_out=r1 * r2, mid_out=r1 * r2, collapse_to=r1)
 
 
 _FORMATS: Dict[str, DecompFormat] = {}

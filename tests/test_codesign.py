@@ -15,6 +15,10 @@ from repro.codesign.flops import (
     tucker_flops,
     tucker_params,
 )
+from repro.codesign.format_search import (
+    best_format_under_budget,
+    layer_format_candidates,
+)
 from repro.codesign.pipeline import layer_shapes_from_spec
 from repro.codesign.rank_selection import LayerShape, select_ranks
 from repro.codesign.table import (
@@ -24,6 +28,13 @@ from repro.codesign.table import (
 )
 from repro.gpusim.device import A100
 from repro.models.arch_specs import get_model_spec
+
+
+def _tucker_candidates(c, n, h, w, rank_step=32):
+    """The Tucker rows Algorithm 1 picks from (table T's entries)."""
+    return layer_format_candidates(
+        LayerShape("l", c, n, h, w), A100, ("tucker",), rank_step=rank_step
+    )[1]
 
 
 class TestFlopsFormulas:
@@ -87,7 +98,8 @@ class TestPerformanceTable:
         table = build_performance_table(1, 64, 14, 14, A100)
         assert table.entries == []
         assert not table.decomposable
-        assert table.best_under_budget(float("inf")) is None
+        candidates = _tucker_candidates(1, 64, 14, 14)
+        assert best_format_under_budget(candidates, float("inf")) is None
 
     def test_select_ranks_leaves_extent_one_layer_dense(self):
         layers = [
@@ -124,19 +136,23 @@ class TestPerformanceTable:
     def test_best_under_budget_respects_ceiling(self):
         table = build_performance_table(128, 128, 14, 14, A100, rank_step=32)
         ceiling = 0.4 * table.original_flops
-        best = table.best_under_budget(ceiling)
+        best = best_format_under_budget(
+            _tucker_candidates(128, 128, 14, 14), ceiling
+        )
         assert best is not None and best.flops <= ceiling
 
     def test_best_under_budget_none_when_impossible(self):
-        table = build_performance_table(64, 64, 14, 14, A100, rank_step=32)
-        assert table.best_under_budget(0.0) is None
+        candidates = _tucker_candidates(64, 64, 14, 14)
+        assert best_format_under_budget(candidates, 0.0) is None
 
     def test_plateau_prefers_larger_ranks(self):
         """Among near-tied latencies the largest ranks win (Alg. 1)."""
-        table = build_performance_table(256, 256, 14, 14, A100, rank_step=32)
-        best = table.best_under_budget(float("inf"), latency_tolerance=1e9)
-        biggest = max(table.entries, key=lambda e: e.d1 + e.d2)
-        assert (best.d1, best.d2) == (biggest.d1, biggest.d2)
+        candidates = _tucker_candidates(256, 256, 14, 14)
+        best = best_format_under_budget(
+            candidates, float("inf"), latency_tolerance=1e9
+        )
+        biggest = max(candidates, key=lambda c: sum(c.ranks))
+        assert best.ranks == biggest.ranks
 
     def test_lookup_missing_raises(self):
         table = build_performance_table(64, 64, 14, 14, A100)

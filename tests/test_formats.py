@@ -9,6 +9,7 @@ import pytest
 
 from repro.backends import backend_names
 from repro.codesign.format_search import (
+    FormatCandidate,
     best_format_under_budget,
     layer_format_candidates,
 )
@@ -205,6 +206,47 @@ def test_best_format_under_budget_picks_min_latency_plateau():
     assert best is not None
     fastest = min(c.total_latency for c in candidates)
     assert best.total_latency <= fastest * 1.12 + 1e-18
+
+
+def _synthetic(fmt, ranks, latency, c=64, n=64):
+    """A candidate with hand-set latency on a 64->64 3x3 layer."""
+    f = get_format(fmt)
+    return FormatCandidate(
+        format=fmt, ranks=ranks, pw1_latency=0.0, core_latency=latency,
+        pw2_latency=0.0, flops=f.flops(c, n, 8, 8, ranks),
+        params=f.n_params(c, n, 3, 3, ranks),
+    )
+
+
+# One Tucker latency plateau on which the two plateau rules disagree:
+# (16, 60) retains more parameters, (32, 32) is the balanced pair.
+_TUCKER_PLATEAU = [
+    _synthetic("tucker", (16, 60), 1.00e-5),
+    _synthetic("tucker", (32, 32), 1.05e-5),
+    _synthetic("tucker", (8, 8), 2.00e-5),
+]
+
+
+def test_tucker_plateau_resolves_toward_balanced_ranks():
+    by_ranks = {c.ranks: c for c in _TUCKER_PLATEAU}
+    assert by_ranks[(16, 60)].params > by_ranks[(32, 32)].params
+    best = best_format_under_budget(_TUCKER_PLATEAU, float("inf"))
+    assert best.ranks == (32, 32)
+
+
+def test_tucker_plateau_rule_holds_inside_a_mixed_list():
+    slower_cp = [_synthetic("cp", (q,), 1.5e-5) for q in (16, 32, 48)]
+    best = best_format_under_budget(
+        slower_cp + _TUCKER_PLATEAU, float("inf")
+    )
+    assert (best.format, best.ranks) == ("tucker", (32, 32))
+    # CP resolves its own plateau toward the most parameters and wins
+    # the cross-format comparison once it is the fastest.
+    faster_cp = [_synthetic("cp", (q,), 0.5e-5) for q in (16, 32, 48)]
+    best = best_format_under_budget(
+        _TUCKER_PLATEAU + faster_cp, float("inf")
+    )
+    assert (best.format, best.ranks) == ("cp", (48,))
 
 
 def test_select_ranks_multiformat_decisions_are_well_formed():

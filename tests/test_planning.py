@@ -475,3 +475,17 @@ class TestNoHiddenState:
         again = build_performance_table(128, 96, 14, 14, A100)
         assert sum(rows) == cold_rows
         assert again.entries == first.entries
+
+    def test_clear_plan_caches_empties_format_candidates(self):
+        """Algorithm 1's per-format candidate memo is a registered
+        ``PlanCache``: a reset leaves no candidate list behind."""
+        from repro.codesign.format_search import layer_format_candidates
+
+        clear_plan_caches()
+        layer = LayerShape("l", 64, 96, 14, 14)
+        layer_format_candidates(layer, A100, "all", rank_step=16)
+        candidates = get_cache("format_candidates")
+        # One list per depthwise format; Tucker rows live in the table.
+        assert len(candidates) == 2
+        clear_plan_caches()
+        assert len(candidates) == 0
