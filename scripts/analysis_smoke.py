@@ -5,9 +5,9 @@ Three gates, exercising both halves of the analyzer:
 1. **Static**: ``python -m repro.cli analyze --json`` over the real
    tree must report zero non-baselined findings — any hot-path
    allocation, silent float64 promotion, unguarded cross-thread write,
-   or backend-protocol drift introduced by a PR fails here before any
-   runtime test would catch it (and a suppression without a reason
-   string fails the same way).
+   backend-protocol drift or private NumPy import introduced by a
+   change fails here before any runtime test would catch it (and a
+   suppression without a reason string fails the same way).
 2. **Self-check**: every registered rule must still catch a seeded
    violation (a deliberately broken fixture module linted in-process)
    — a rule that silently stopped firing is itself a regression.
@@ -59,6 +59,9 @@ SEEDED = {
         "class BadBackend(KernelBackend):\n"
         "    name = 'bad'\n"
         "    def core_latency(self, shape): return 0.0\n"
+    )),
+    "private-numpy": ("seed_private.py", (
+        "from numpy._core.einsumfunc import bmm_einsum\n"
     )),
 }
 

@@ -50,3 +50,4 @@ from repro.analysis.rules import backend_conformance  # noqa: E402,F401
 from repro.analysis.rules import dtype_promotion  # noqa: E402,F401
 from repro.analysis.rules import hot_path_alloc  # noqa: E402,F401
 from repro.analysis.rules import lock_discipline  # noqa: E402,F401
+from repro.analysis.rules import private_numpy  # noqa: E402,F401

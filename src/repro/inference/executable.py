@@ -63,7 +63,6 @@ from repro.nn.module import Module
 from repro.perfmodel.parallel import should_parallelize
 from repro.runtime.engine import SiteParallel
 from repro.runtime.pool import get_pool, resolve_threads
-from repro.runtime.prepared import prepare_tdc_runner
 from repro.tensor.formats import get_format
 
 #: Plan kernel kinds that bind to a model conv site.
@@ -159,15 +158,17 @@ class _CompiledSite(Module):
     """Base for compiled conv sites: inference-only bound kernels.
 
     Every subclass computes through one method,
-    ``_body(x, lo, hi, scratch, kernel)``: samples ``[lo, hi)`` of
-    ``x`` into ``out[lo:hi]``, with one lane's scratch and the kernel
-    that lane runs.  ``forward`` is the only dispatcher.  ``_parallel``
-    is ``None`` unless :func:`compile_plan` decided (via the perf
-    model) that this site shards; it then holds the site's
-    :class:`~repro.runtime.SiteParallel` state (lane scratch, the
-    prepared runner).  A batch that supports two or more shards
+    ``_body(x, lo, hi, scratch)``: samples ``[lo, hi)`` of ``x`` into
+    ``out[lo:hi]`` with one lane's scratch, through ``self.kernel``
+    (read per call, so a caller may rebind it, e.g. to trace it).
+    ``forward`` is the only dispatcher.  ``_parallel`` is ``None``
+    unless :func:`compile_plan` decided (via the perf model) that this
+    site shards; it then holds the site's
+    :class:`~repro.runtime.SiteParallel` state (the lane scratch).  A
+    batch that supports two or more shards
     (``SiteParallel.batch_shards``) runs one ``_body`` per shard, one
-    lane each; any other batch runs one ``_body`` on lane 0.
+    lane each; any other batch runs one ``_body`` on lane 0.  Every
+    lane runs the same kernel loop as the serial path.
     """
 
     #: Set by compile_plan when the perf model picks parallel (else None).
@@ -194,23 +195,18 @@ class _CompiledSite(Module):
     def forward(self, x: np.ndarray) -> np.ndarray:
         b = self._check_batch(x)
         par = self._parallel
-        if par is None:
-            self._body(x, 0, b, self.scratch, self.kernel)
-            return self.out[:b]
-        # Read per call, not cached at compile: a caller may rebind
-        # either one (e.g. to trace it).
-        kernel = par.runner or self.kernel
-        shards = par.batch_shards(b)
+        shards = par.batch_shards(b) if par is not None else []
         if len(shards) > 1:
             par.run_tasks([
-                partial(self._body, x, lo, hi, par.lane_scratch[lane], kernel)
+                partial(self._body, x, lo, hi, par.lane_scratch[lane])
                 for lane, (lo, hi) in enumerate(shards)
             ])
         else:
-            self._body(x, 0, b, par.lane_scratch[0], kernel)
+            # Lane 0's scratch is the site's own.
+            self._body(x, 0, b, self.scratch)
         return self.out[:b]
 
-    def _body(self, x, lo, hi, scratch, kernel) -> None:
+    def _body(self, x, lo, hi, scratch) -> None:
         raise NotImplementedError
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
@@ -274,7 +270,7 @@ class CompiledConv2d(_CompiledSite):
                 ConvShape(c=c, n=n, h=hp, w=wp, r=k, s=k),
             )
 
-    def _body(self, x, lo, hi, scratch, kernel) -> None:
+    def _body(self, x, lo, hi, scratch) -> None:
         out = self.out[lo:hi]
         p = self.padding
         if self.kernel_size == 1:
@@ -293,7 +289,7 @@ class CompiledConv2d(_CompiledSite):
             xpad[:, :, p : p + x.shape[2], p : p + x.shape[3]] = x[lo:hi]
             ysame = self.ysame[lo:hi]
             for i in range(hi - lo):
-                kernel.run_into(xpad[i], self.weight, ysame[i], scratch)
+                self.kernel.run_into(xpad[i], self.weight, ysame[i], scratch)
             out[...] = ysame[:, :, self._rows, self._cols]
         if self.bias is not None:
             out += self.bias[None, :, None, None]
@@ -360,7 +356,7 @@ class CompiledChainConv2d(_CompiledSite):
             ConvShape(c=mid_in, n=mid_out, h=hp, w=wp, r=k, s=k),
         )
 
-    def _body(self, x, lo, hi, scratch, kernel) -> None:
+    def _body(self, x, lo, hi, scratch) -> None:
         ri, ci = self._interior
         # Stage 1 (Eq. 2): input projection, written straight into the
         # padded middle input (the border stays zero).
@@ -370,7 +366,7 @@ class CompiledChainConv2d(_CompiledSite):
         )
         # Stage 2 (Eq. 3): the middle kernel at the padded extent.
         for i in range(lo, hi):
-            kernel.run_into(
+            self.kernel.run_into(
                 self.z1pad[i], self.mid_weight, self.ysame[i], scratch
             )
         z = self.z2[lo:hi]
@@ -459,7 +455,7 @@ class CompiledFusedSite(_CompiledSite):
         self.per_stage_intermediate_bytes = max_batch * per_stage * itemsize
         self.fused_scratch_bytes = self.executor.scratch_nbytes
 
-    def _body(self, x, lo, hi, scratch, kernel) -> None:
+    def _body(self, x, lo, hi, scratch) -> None:
         # All fused block scratch is per-sample along the leading axis,
         # so a sample range owns disjoint views of the bound buffers:
         # batch shards need no lane scratch and add zero arena bytes.
@@ -703,13 +699,9 @@ def _site_latencies(
 
 
 def _parallel_lane_state(
-    compiled: _CompiledSite,
-    arena: BufferArena,
-    threads: int,
-    dtype: np.dtype,
-):
-    """Carve per-lane scratch for one parallel site and specialize its
-    runner: ``(lane_scratch, runner)``.
+    compiled: _CompiledSite, arena: BufferArena, threads: int,
+) -> List[Optional[Dict[str, np.ndarray]]]:
+    """Carve per-lane scratch for one parallel site.
 
     Lane 0 reuses the site's own (serial) scratch; lanes ``1..T-1``
     are fresh arena buffers named ``<site>.scratch.w<lane>.<name>`` so
@@ -718,7 +710,7 @@ def _parallel_lane_state(
     no extra lanes at all.
     """
     if compiled.scratch is None:
-        return [None] * threads, None
+        return [None] * threads
     lanes: List[Optional[Dict[str, np.ndarray]]] = [compiled.scratch]
     for lane in range(1, threads):
         lanes.append({
@@ -727,18 +719,7 @@ def _parallel_lane_state(
             )
             for name, buf in compiled.scratch.items()
         })
-    if isinstance(compiled, CompiledConv2d):
-        weight, staged = compiled.weight, compiled.xpad
-    elif compiled.format == "tucker":
-        weight, staged = compiled.mid_weight, compiled.z1pad
-    else:
-        return lanes, None
-    hp, wp = staged.shape[2:]
-    shape = ConvShape(
-        c=weight.shape[1], n=weight.shape[0],
-        h=int(hp), w=int(wp), r=weight.shape[2], s=weight.shape[3],
-    )
-    return lanes, prepare_tdc_runner(compiled.kernel, weight, shape, dtype)
+    return lanes
 
 
 def model_dtype(model: Module) -> np.dtype:
@@ -896,14 +877,10 @@ def compile_plan(
             if pool is None:
                 # threads lanes = the caller + (threads - 1) workers.
                 pool = get_pool(threads - 1)
-            lane_scratch, runner = _parallel_lane_state(
-                compiled, arena, threads, dtype
-            )
             compiled._parallel = SiteParallel(
                 threads=threads,
                 pool=pool,
-                lane_scratch=lane_scratch,
-                runner=runner,
+                lane_scratch=_parallel_lane_state(compiled, arena, threads),
                 site_latency_s=site_lat[site.name],
                 est_speedup=est,
             )

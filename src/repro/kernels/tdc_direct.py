@@ -297,50 +297,50 @@ class TDCDirectKernel(ConvKernel):
         ]
 
     def scratch_shapes(self, shape: ConvShape) -> Dict[str, Tuple[int, ...]]:
-        t = self.tiling.clipped(shape)
         return {
             "xpad": (shape.c, shape.padded_h, shape.padded_w),
-            "temp": (shape.n, t.th, t.tw),
-            "prod": (shape.n, t.th, t.tw),
+            "temp": (shape.n, shape.h, shape.w),
+            "prod": (shape.n, shape.h, shape.w),
         }
 
     def run_into(self, x, weight, out, scratch):
-        """Functional block-tiled execution mirroring Listing 2.
+        """Functional C-tile walk of Listing 2.
 
-        Iterates thread blocks (C-tile, H-tile, W-tile); each block
-        stages its padded input cube ("shared memory"), accumulates a
-        per-thread TH x TW temporary across (c, r, s), and adds it into
-        the global output (the atomicAdd).  Agrees with
-        :func:`repro.kernels.base.reference_conv` up to float summation
-        order.
+        For each C-tile the staged input (``scratch["xpad"]``, the
+        "shared memory") is contracted tap by tap, one public
+        ``np.einsum("chw,nc->nhw")`` per ``(r, s)`` over the whole
+        output extent, into a per-C-tile accumulator (the threads'
+        ``temp_result`` registers).  Adding that accumulator into
+        ``out`` is the cross-C-tile atomicAdd.
+
+        The (TH, TW) tiles of :meth:`launches` are not walked: they only
+        partition the outputs among thread blocks.  Each output element
+        still sums the same C-tile's channels per tap, the taps in the
+        same ``(r, s)`` order, and the C-tiles in the same order, so the
+        result is bit-identical to walking every (C, H, W) tile with the
+        same einsum (``tests/test_kernels.py`` pins this), and agrees
+        with :func:`repro.kernels.base.reference_conv` up to float
+        summation order.
 
         ``scratch["xpad"]``'s border stays zero across calls (only the
         interior is ever written), standing in for ``pad_input``.
         """
         x, weight, shape = self._check_run_args(x, weight)
-        t = self.tiling.clipped(shape)
-        xpad, temp, prod = scratch["xpad"], scratch["temp"], scratch["prod"]
+        tc = self.tiling.clipped(shape).tc
+        h, w = shape.h, shape.w
+        xpad, acc, p = scratch["xpad"], scratch["temp"], scratch["prod"]
         ph, pw = shape.pad
-        xpad[:, ph : ph + shape.h, pw : pw + shape.w] = x
+        xpad[:, ph : ph + h, pw : pw + w] = x
         out.fill(0.0)
-        for c0 in range(0, shape.c, t.tc):
-            c1 = min(c0 + t.tc, shape.c)
-            for h0 in range(0, shape.h, t.th):
-                hsz = min(t.th, shape.h - h0)
-                for w0 in range(0, shape.w, t.tw):
-                    wsz = min(t.tw, shape.w - w0)
-                    smem = xpad[c0:c1, h0 : h0 + hsz + shape.r - 1,
-                                w0 : w0 + wsz + shape.s - 1]
-                    acc = temp[:, :hsz, :wsz]
-                    p = prod[:, :hsz, :wsz]
-                    acc.fill(0.0)
-                    for r in range(shape.r):
-                        for s in range(shape.s):
-                            patch = smem[:, r : r + hsz, s : s + wsz]
-                            np.einsum(
-                                "chw,nc->nhw", patch, weight[:, c0:c1, r, s],
-                                out=p, optimize=True,
-                            )
-                            acc += p
-                    out[:, h0 : h0 + hsz, w0 : w0 + wsz] += acc
+        for c0 in range(0, shape.c, tc):
+            c1 = min(c0 + tc, shape.c)
+            acc.fill(0.0)
+            for r in range(shape.r):
+                for s in range(shape.s):
+                    np.einsum(
+                        "chw,nc->nhw", xpad[c0:c1, r : r + h, s : s + w],
+                        weight[:, c0:c1, r, s], out=p,
+                    )
+                    acc += p
+            out += acc
         return out

@@ -18,13 +18,10 @@ Layout:
   process (``REPRO_NUM_THREADS`` / ``--threads``, default
   ``min(cores, 8)``); every executable, session, and fleet replica
   shares it, so fleet-scale deployments cannot explode thread counts.
-- :mod:`repro.runtime.prepared` — compile-time specialized kernel
-  runners (precomputed tile geometry + direct pairwise-einsum calls)
-  that are validated bit-exact against their serial kernel before
-  being installed.
 - :mod:`repro.runtime.engine` — per-site shard planning: contiguous
   sample ranges of at least 2 samples, one lane each.  A batch too
-  small to shard runs the site's prepared runner on one lane.
+  small to shard runs the site's one ``_body`` on lane 0, through the
+  same bound kernel the serial path runs.
 """
 
 from repro.runtime.pool import (
@@ -36,7 +33,6 @@ from repro.runtime.pool import (
     resolve_threads,
 )
 from repro.runtime.engine import SiteParallel, plan_batch_shards
-from repro.runtime.prepared import PreparedTDCRunner, fast_pairwise_einsum
 
 __all__ = [
     "MAX_WORKERS",
@@ -47,6 +43,4 @@ __all__ = [
     "resolve_threads",
     "SiteParallel",
     "plan_batch_shards",
-    "PreparedTDCRunner",
-    "fast_pairwise_einsum",
 ]

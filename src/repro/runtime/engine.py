@@ -10,8 +10,8 @@ NumPy's cached two-operand einsum specializes a batch of 1 differently
 from a batch of n, so singleton shards are never produced and sliced
 stage einsums stay bit-identical to the full-batch call (the
 determinism suite pins this).  A batch too small to shard runs one
-``_body`` on lane 0, through the site's prepared runner when it has
-one.
+``_body`` on lane 0.  Every lane runs the site's own bound kernel, the
+same loop the serial path runs.
 
 The per-site parallel/serial decision is *not* made here — the perf
 model makes it at compile time (:mod:`repro.perfmodel.parallel`) and
@@ -59,9 +59,10 @@ class SiteParallel:
 
     ``lane_scratch[0]`` is the site's own (serial) scratch set; lanes
     ``1..threads-1`` are compile-time copies carved from the arena, so
-    the hot path allocates nothing.  ``runner`` is the validated
-    prepared kernel runner (or ``None`` for the generic per-lane
-    ``kernel.run_into`` path).
+    the hot path allocates nothing.  Every lane runs the site's own
+    bound kernel.  ``runner`` is always ``None``: the site has no second
+    copy of its kernel loop.  The attribute stays for callers that
+    probe it (``perfbench/spans.py``).
     """
 
     def __init__(
@@ -70,7 +71,6 @@ class SiteParallel:
         threads: int,
         pool: WorkerPool,
         lane_scratch: Sequence[Optional[Dict[str, np.ndarray]]],
-        runner=None,
         site_latency_s: float = 0.0,
         est_speedup: float = 1.0,
     ) -> None:
@@ -79,7 +79,7 @@ class SiteParallel:
         self.threads = int(threads)
         self.pool = pool
         self.lane_scratch = list(lane_scratch)
-        self.runner = runner
+        self.runner = None
         self.site_latency_s = float(site_latency_s)
         self.est_speedup = float(est_speedup)
 

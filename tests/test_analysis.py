@@ -315,6 +315,47 @@ class NewProtocol(KernelBackend):
 
 
 # ---------------------------------------------------------------------------
+# private-numpy
+# ---------------------------------------------------------------------------
+
+PRIVATE_NUMPY_VIOLATION = """
+import numpy._core.multiarray
+from numpy._core.einsumfunc import bmm_einsum
+from numpy.core.einsumfunc import c_einsum
+from numpy import _core, linalg
+from numpy.lib import _stride_tricks_impl
+"""
+
+PRIVATE_NUMPY_CLEAN = """
+import numpy as np
+import numpy.linalg
+from numpy import __version__, einsum
+from numpy.lib.stride_tricks import sliding_window_view
+from mypkg._core import helper    # not NumPy
+from .core import thing           # relative: not NumPy
+"""
+
+
+def test_private_numpy_seeded_violation(tmp_path):
+    findings = lint(
+        tmp_path, "mod.py", PRIVATE_NUMPY_VIOLATION, ["private-numpy"]
+    )
+    assert [(f.line, f.symbol) for f in findings] == [
+        (2, "numpy._core"),
+        (3, "numpy._core"),
+        (4, "numpy.core"),
+        (5, "numpy._core"),
+        (6, "numpy.lib._stride_tricks_impl"),
+    ]
+
+
+def test_private_numpy_clean_pass(tmp_path):
+    assert lint(
+        tmp_path, "mod.py", PRIVATE_NUMPY_CLEAN, ["private-numpy"]
+    ) == []
+
+
+# ---------------------------------------------------------------------------
 # Suppressions and the bare-suppression pseudo-rule
 # ---------------------------------------------------------------------------
 

@@ -106,6 +106,71 @@ class TestTDCKernelFunctional:
         np.testing.assert_allclose(y, reference_conv(x, w), atol=1e-9)
 
 
+def _spatial_walk(x, weight, tiling):
+    """Reference (C, H, W) tile walk of Listing 2: one public einsum
+    (no ``optimize``) per tap per (C-tile, H-tile, W-tile) block, each
+    block's accumulator added into the output."""
+    n, c, r, s = weight.shape
+    shape = ConvShape(c=c, n=n, h=x.shape[1], w=x.shape[2], r=r, s=s)
+    t = tiling.clipped(shape)
+    xpad = pad_input(x, shape)
+    out = np.zeros((n, shape.h, shape.w), dtype=x.dtype)
+    for c0 in range(0, c, t.tc):
+        c1 = min(c0 + t.tc, c)
+        for h0 in range(0, shape.h, t.th):
+            hsz = min(t.th, shape.h - h0)
+            for w0 in range(0, shape.w, t.tw):
+                wsz = min(t.tw, shape.w - w0)
+                acc = np.zeros((n, hsz, wsz), dtype=x.dtype)
+                for i in range(r):
+                    for j in range(s):
+                        acc += np.einsum(
+                            "chw,nc->nhw",
+                            xpad[c0:c1, h0 + i:h0 + i + hsz,
+                                 w0 + j:w0 + j + wsz],
+                            weight[:, c0:c1, i, j],
+                        )
+                out[:, h0:h0 + hsz, w0:w0 + wsz] += acc
+    return out
+
+
+class TestTDCCTileWalk:
+    """``run_into`` walks C-tiles only; spatial tiles change no bits."""
+
+    # (C, N, H, W, tiling): one C-tile (TC >= C); TC not dividing C with
+    # ragged H/W tiles (9 = 4+4+1, 11 = 4+4+3); several even C-tiles
+    # with single-row tiles; one C channel per tile.
+    CASES = [
+        (6, 5, 8, 8, Tiling(4, 5, 8)),
+        (7, 5, 9, 11, Tiling(4, 4, 3)),
+        (16, 12, 10, 7, Tiling(1, 3, 4)),
+        (5, 9, 6, 13, Tiling(5, 2, 1)),
+    ]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    @pytest.mark.parametrize("c,n,h,w,tiling", CASES)
+    def test_bitwise_equal_to_spatial_walk(self, c, n, h, w, tiling, k,
+                                           dtype):
+        rng = np.random.default_rng(c * 100 + k)
+        kernel = TDCDirectKernel(tiling)
+        shape = ConvShape(c=c, n=n, h=h, w=w, r=k, s=k)
+        scratch = kernel.allocate_scratch(shape, dtype=np.dtype(dtype))
+        out = np.zeros((n, h, w), dtype=dtype)
+        weight = rng.standard_normal((n, c, k, k)).astype(dtype)
+        # Two inputs through one scratch set: the second run must not
+        # see the first one's accumulator.
+        for _ in range(2):
+            x = rng.standard_normal((c, h, w)).astype(dtype)
+            y = kernel.run_into(x, weight, out, scratch)
+            assert y.dtype == dtype
+            np.testing.assert_array_equal(y, _spatial_walk(x, weight, tiling))
+            ref = reference_conv(x.astype(np.float64),
+                                 weight.astype(np.float64))
+            tol = 1e-4 if dtype == np.float32 else 1e-10
+            np.testing.assert_allclose(y, ref, rtol=tol, atol=tol)
+
+
 class TestTDCKernelModel:
     def test_resource_accounting(self):
         shape = ConvShape(64, 32, 56, 56)

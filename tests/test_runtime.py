@@ -14,6 +14,7 @@ from repro.codesign.pipeline import decompose_for_device
 from repro.gpusim.device import A100
 from repro.inference import compile_model, compile_plan, plan_model
 from repro.kernels.fused import FusedChainExecutor
+from repro.kernels.tdc_direct import TDCDirectKernel
 from repro.models.registry import build_model
 from repro.nn.cp_conv import CPConv2d
 from repro.nn.module import Module, Sequential
@@ -247,6 +248,39 @@ def test_parallel_bit_identical_to_serial(fmt, backend, monkeypatch):
                     f"serial at batch {n}"
                 ),
             )
+
+
+@pytest.mark.parametrize("backend", ["tdc-oracle", "tdc-model"])
+def test_parallel_compile_runs_no_kernel_probe(backend, monkeypatch):
+    """A parallel Tucker site compiles without running its kernel: the
+    serial path, every lane and calibration share one TDC loop, so
+    there is no second copy to check against it at compile time."""
+    force_parallel(monkeypatch)
+    calls = []
+    run_into = TDCDirectKernel.run_into
+
+    def counted(self, *args):
+        calls.append(self)
+        return run_into(self, *args)
+
+    monkeypatch.setattr(TDCDirectKernel, "run_into", counted)
+    hw = 12
+    model = make_site("tucker", hw)
+    plan = plan_model(model, A100, (hw, hw), in_channels=6,
+                      core_backend=backend)
+    kwargs = dict(image_hw=(hw, hw), in_channels=6, max_batch=8)
+    par = compile_plan(plan, model, A100, threads=2, **kwargs)
+    assert par.parallel_report()["parallel_sites"] == 1
+    (site,) = par.sites()
+    assert isinstance(site.kernel, TDCDirectKernel)
+    assert site._parallel.runner is None
+    assert calls == []
+    serial = compile_plan(plan, model, A100, threads=1, **kwargs)
+    rng = np.random.default_rng(5)
+    for n in (1, 8):  # one lane, then batch shards
+        x = rng.standard_normal((n, 6, hw, hw)).astype(serial.dtype)
+        np.testing.assert_array_equal(serial.run(x), par.run(x))
+    assert calls  # the requests themselves ran the kernel
 
 
 def test_whole_model_parallel_bit_identical(monkeypatch):
